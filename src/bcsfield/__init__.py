@@ -16,7 +16,9 @@ solved quantity is a unique bracketed root.
 
 from .kernel import (
     F_eval,
+    F_eval_many,
     F_partials,
+    F_partials_many,
     StatePoint,
     fermi,
     fermi_delta,
@@ -35,7 +37,9 @@ from .numerics import (
     RootSpec,
     central_diff,
     find_root_decreasing,
+    find_root_decreasing_many,
     integrate,
+    integrate_many,
 )
 from .params import (
     Z_CAP,
@@ -56,7 +60,9 @@ from .solvers import (
     hc_slope_at_tc,
     implicit_partials,
     solve_gap_squared,
+    solve_gap_squared_many,
     solve_hc,
+    solve_hc_many,
     solve_tau1,
 )
 from .thermo import (
@@ -73,6 +79,7 @@ from .thermo import (
     grand_potential_S,
     load_dos_table,
     psi,
+    psi_many,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import F_eval, F_partials, StatePoint, fermi, thermal_weight
-from .numerics import NumericsError, QuadSpec, RootSpec
+from .numerics import NumericsError, QuadSpec, RootSpec, unwrap
 from .params import Z_CAP, DomainBox, MaterialParams, default_params, domain_from, load_params, validate
 from .phase_diagram import OUTPUT_KINDS, SweepError, SweepResult, SweepSpec, run_sweep, write_csv
 from .solvers import (
@@ -29,6 +29,7 @@ from .solvers import (
     hc_slope_at_tc,
     solve_gap_squared,
     solve_hc,
+    solve_hc_many,
     solve_tau1,
 )
 from .thermo import (
@@ -231,8 +232,8 @@ def _cmd_entropy(config: CliConfig, args) -> int:
     dos = _parse_dos(args.dos)
     T = _parse_temperature(args.T, tau1)
     hc = solve_hc(T, p, dbox, config.root, config.quad)
-    ds = entropy_gap(T, p, dos, dbox, config.root, config.quad)
-    ds_fd = entropy_gap_fd(T, p, dos, dbox, config.root, delta_T=args.delta_T)
+    ds = entropy_gap(T, p, dos, dbox, config.root, config.quad, hc=hc)
+    ds_fd = entropy_gap_fd(T, p, dos, dbox, config.root, delta_T=args.delta_T, hc=hc)
     _emit(config, {
         "T": T,
         "H_c": hc,
@@ -354,7 +355,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     try:
         hc0 = solve_hc(dbox.T0, p, dbox, root, quad)
         grid = np.linspace(dbox.T0, tau1, 10)
-        hcs = [solve_hc(float(T), p, dbox, root, quad) for T in grid]
+        hcs = [unwrap(hc) for hc in solve_hc_many(grid, p, dbox, root, quad)]
         ok = all(b <= a + root.x_tol for a, b in zip(hcs, hcs[1:])) and hcs[-1] == 0.0
         add("hc-curve", "H_c nonincreasing, H_c(tau1) = 0", True, ok,
             f"H_c(T0) = {hc0:.6g}")

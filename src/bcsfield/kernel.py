@@ -14,9 +14,12 @@ field at T is the root in H at Y = 0; the zero-field transition temperature
 is the root in T at H = Y = 0.
 
 Every function here is pure, accepts numpy arrays for the energy-like
-argument, and is overflow-safe for arbitrarily small temperatures: large
-arguments switch to Fermi-function / exponential forms, and the removable
-singularities at E -> 0 get explicit limit branches.
+argument (and arrays of states that broadcast against it), and is
+overflow-safe for arbitrarily small temperatures: large arguments switch to
+Fermi-function / exponential forms, and the removable singularities at
+E -> 0 get explicit limit branches.  ``F_eval_many`` and ``F_partials_many``
+integrate a whole batch of states in one breadth-first quadrature; the
+scalar ``F_eval`` and ``F_partials`` are their batch-of-one cases.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QuadSpec, integrate
-from .params import MaterialParams
+# ``integrate`` stays importable here: bench/spans.py patches kernel.integrate
+# by name.
+from .numerics import QuadratureError, QuadSpec, first, integrate, integrate_many  # noqa: F401
+from .params import MaterialParams, check_arg
 
 __all__ = [
     "StatePoint",
@@ -37,7 +42,9 @@ __all__ = [
     "thermal_weight",
     "integrand_J",
     "F_eval",
+    "F_eval_many",
     "F_partials",
+    "F_partials_many",
 ]
 
 # Above this value of E/T (or mu_B H / T) the sinh/cosh weight is evaluated
@@ -64,12 +71,9 @@ class StatePoint:
     Y: float
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0, got {self.T!r}")
-        if self.H < 0:
-            raise ValueError(f"H must be >= 0, got {self.H!r}")
-        if self.Y < 0:
-            raise ValueError(f"Y must be >= 0, got {self.Y!r}")
+        check_arg("T", self.T, positive=True)
+        check_arg("H", self.H)
+        check_arg("Y", self.Y)
 
 
 def fermi(x):
@@ -123,13 +127,18 @@ def _weight(z, z1: float):
     z = np.asarray(z, dtype=float)
     use_direct = (z <= FERMI_FORM_CUT) & (z1 <= FERMI_FORM_CUT)
     zc = np.minimum(z, FERMI_FORM_CUT)
-    z1c = min(z1, FERMI_FORM_CUT)
-    direct = np.sinh(zc) / (np.cosh(zc) + np.cosh(z1c))
-    fermi_form = 1.0 - fermi(z + z1) - fermi(z - z1)
-    ezz = np.exp(np.minimum(z - z1, 0.0))
-    e2z = np.exp(-2.0 * z)
-    tail = ezz * (1.0 - e2z) / (1.0 + np.exp(-2.0 * z1) + ezz * (1.0 + e2z))
-    return np.where(use_direct, direct, np.where(z <= z1, tail, fermi_form))
+    out = np.sinh(zc) / (np.cosh(zc) + np.cosh(np.minimum(z1, FERMI_FORM_CUT)))
+    # Each branch is evaluated only where some element takes it.
+    if use_direct.all():
+        return out
+    out = np.where(use_direct, out, 1.0 - fermi(z + z1) - fermi(z - z1))
+    deep = ~use_direct & (z <= z1)
+    if deep.any():
+        ezz = np.exp(np.minimum(z - z1, 0.0))
+        e2z = np.exp(-2.0 * z)
+        tail = ezz * (1.0 - e2z) / (1.0 + np.exp(-2.0 * z1) + ezz * (1.0 + e2z))
+        out = np.where(deep, tail, out)
+    return out
 
 
 def thermal_weight(T: float, E, H: float, p: MaterialParams):
@@ -157,11 +166,45 @@ def integrand_J(T: float, H: float, Y: float, xi, p: MaterialParams):
     xi = np.asarray(xi, dtype=float)
     E = np.asarray(quasiparticle_energy(xi, H, Y, p))
     z1 = p.mu_B * H / T
-    tiny = SINGULAR_E_FRACTION * max(T, p.hbar_omega_D)
+    tiny = SINGULAR_E_FRACTION * np.maximum(T, p.hbar_omega_D)
     small = E < tiny
-    E_safe = np.where(small, 1.0, E)
-    out = np.where(small, 2.0 * fermi_delta(z1) / T, _weight(E_safe / T, z1) / E_safe)
+    if small.any():
+        E_safe = np.where(small, 1.0, E)
+        out = np.where(small, 2.0 * fermi_delta(z1) / T, _weight(E_safe / T, z1) / E_safe)
+    else:
+        out = np.asarray(_weight(E / T, z1) / E)
     return float(out) if out.ndim == 0 else out
+
+
+def _states(T, H, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked 1-d arrays of one length for a batch of states."""
+    return tuple(a.ravel() for a in np.broadcast_arrays(
+        check_arg("T", T, positive=True), check_arg("H", H), check_arg("Y", Y)))
+
+
+def _integrate_states(pointwise, T, H, Y, p: MaterialParams, quad: QuadSpec | None):
+    """Integrate ``pointwise(T, H, Y, xi, p)`` over the pairing window for every state."""
+    T, H, Y = _states(T, H, Y)
+    w = p.hbar_omega_D
+
+    def f(xi, i):
+        return pointwise(T[i, None], H[i, None], Y[i, None], xi, p)
+
+    return integrate_many(f, np.full(T.size, -w), np.full(T.size, w), quad)
+
+
+def F_eval_many(
+    T, H, Y, p: MaterialParams, quad: QuadSpec | None = None
+) -> tuple[np.ndarray, dict[int, QuadratureError]]:
+    """F at a batch of states (arrays that broadcast to one length).
+
+    Returns ``(values, errors)`` as :func:`numerics.integrate_many` does: a
+    state whose quadrature fails is NaN in ``values`` and has its error in
+    ``errors``; the other states are exactly what :func:`F_eval` returns
+    for them one at a time.
+    """
+    values, errors = _integrate_states(integrand_J, T, H, Y, p, quad)
+    return values - 1.0 / p.U1, errors
 
 
 def F_eval(s: StatePoint, p: MaterialParams, quad: QuadSpec | None = None) -> float:
@@ -171,9 +214,7 @@ def F_eval(s: StatePoint, p: MaterialParams, quad: QuadSpec | None = None) -> fl
     Positive F means the state supports a larger gap; F = 0 is the
     gap equation itself.
     """
-    w = p.hbar_omega_D
-    val = integrate(lambda xi: integrand_J(s.T, s.H, s.Y, xi, p), -w, w, quad)
-    return val - 1.0 / p.U1
+    return float(first(*F_eval_many(s.T, s.H, s.Y, p, quad)))
 
 
 def _r_pair(z, z1: float):
@@ -270,19 +311,30 @@ def _dJ_dH(T: float, H: float, Y: float, xi, p: MaterialParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _dJ_all(T, H, Y, xi, p: MaterialParams):
+    """Pointwise (dJ/dT, dJ/dH, dJ/dY) on one trailing axis."""
+    return np.stack([_dJ_dT(T, H, Y, xi, p), _dJ_dH(T, H, Y, xi, p), _dJ_dY(T, H, Y, xi, p)],
+                    axis=-1)
+
+
+def F_partials_many(
+    T, H, Y, p: MaterialParams, quad: QuadSpec | None = None
+) -> tuple[np.ndarray, dict[int, QuadratureError]]:
+    """(F_T, F_H, F_Y) at a batch of states: ``(values of shape (m, 3), errors)``."""
+    return _integrate_states(_dJ_all, T, H, Y, p, quad)
+
+
 def F_partials(
     s: StatePoint, p: MaterialParams, quad: QuadSpec | None = None
 ) -> tuple[float, float, float]:
     """Analytic partial derivatives (F_T, F_H, F_Y).
 
-    Each integrand is differentiated under the integral sign and integrated
-    with the same adaptive rule as F itself.  At Y = 0 the returned
-    Y-derivative is the one-sided limit (J is analytic in Y, so it equals
-    the interior value).  On the working box all three are negative, which
-    is what makes the implicit functions unique and monotone.
+    Each integrand is differentiated under the integral sign; the three are
+    integrated on shared panels, each to the tolerance F itself gets.  At
+    Y = 0 the returned Y-derivative is the one-sided limit (J is analytic in
+    Y, so it equals the interior value).  On the working box all three are
+    negative, which is what makes the implicit functions unique and
+    monotone.
     """
-    w = p.hbar_omega_D
-    f_T = integrate(lambda xi: _dJ_dT(s.T, s.H, s.Y, xi, p), -w, w, quad)
-    f_H = integrate(lambda xi: _dJ_dH(s.T, s.H, s.Y, xi, p), -w, w, quad)
-    f_Y = integrate(lambda xi: _dJ_dY(s.T, s.H, s.Y, xi, p), -w, w, quad)
+    f_T, f_H, f_Y = (float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad)))
     return f_T, f_H, f_Y

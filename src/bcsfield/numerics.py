@@ -5,13 +5,24 @@ Design goals, in order: correctness with controlled error, determinism
 (identical inputs give bit-identical results), and no evaluation outside the
 caller's bracket / interval.
 
-All integrands passed to :func:`integrate` must be vectorized: they receive a
+Both algorithms work on batches.  :func:`integrate_many` refines many
+intervals breadth-first: each refinement level hands every unconverged
+panel of every interval to the integrand in one call, and accepts exactly
+the panels a depth-first bisection with the same tolerance split would.
+:func:`find_root_decreasing_many` steps many bracketed roots in lockstep,
+each taking the iterates it would take alone.  An interval or root that
+fails comes back as its error without changing the others, so a batch
+result never depends on what else was in the batch.  :func:`integrate` and
+:func:`find_root_decreasing` are the batch-of-one cases.
+
+Integrands passed to :func:`integrate` must be vectorized: they receive a
 one-dimensional ``numpy`` array of abscissas and must return an array of the
 same shape.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -26,7 +37,9 @@ __all__ = [
     "BracketError",
     "RootBelowBracket",
     "integrate",
+    "integrate_many",
     "find_root_decreasing",
+    "find_root_decreasing_many",
     "central_diff",
 ]
 
@@ -154,67 +167,289 @@ _WGK = np.array(list(_WGK_HALF) + [_WGK_CENTER] + list(reversed(_WGK_HALF)))
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
 
-def _gk15(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel: returns (estimate, error bound)."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fx = np.asarray(f(mid + half * _XGK), dtype=float)
-    kronrod = half * float(_WGK @ fx)
-    gauss = half * float(_WG @ fx[1::2])
-    return kronrod, abs(kronrod - gauss)
+# Largest number of panels one refinement level evaluates.  An interval whose
+# next level would hold more fails: an integrand whose rounding noise exceeds
+# the tolerance doubles its panels at every level, and the cap stops it after
+# 17 levels instead of max_depth.  A sharp feature needs depth, not width, so
+# legitimate integrals stay far below it: a piecewise-linear tabulated DOS
+# needs about two panels per knot.  A batch whose level would hold more is
+# refined in groups of intervals, which bounds the frontier to tens of
+# megabytes without changing any interval's result.
+MAX_ACTIVE_PANELS = 2**16
+
+# Panels per integrand call: a level with more unconverged panels is
+# evaluated in slices of this size, which bounds the integrand's temporaries
+# to a few hundred kilobytes whatever the batch size.
+_SLICE_PANELS = 1024
 
 
-def _adapt(f: Callable, lo: float, hi: float, tol: float, depth: int, spec: QuadSpec) -> float:
-    est, err = _gk15(f, lo, hi)
-    if err <= tol:
-        return est
-    if depth >= spec.max_depth:
-        raise QuadratureError(
-            f"quadrature did not converge on [{lo!r}, {hi!r}] "
-            f"(panel error {err:.3e} > {tol:.3e} at depth {depth})",
-            panel_lo=lo,
-            panel_hi=hi,
-            panel_err=err,
-        )
-    mid = 0.5 * (lo + hi)
-    return (
-        _adapt(f, lo, mid, 0.5 * tol, depth + 1, spec)
-        + _adapt(f, mid, hi, 0.5 * tol, depth + 1, spec)
-    )
+def unwrap(result):
+    """Return one entry of a batch result, raising it if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def first(values, errors: dict):
+    """Return entry 0 of a ``(values, errors)`` batch result, raising its error."""
+    if 0 in errors:
+        raise errors[0]
+    return values[0]
+
+
+def _gk15_many(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
+    """GK 7/15 on the panels [a, b], in slices of at most _SLICE_PANELS.
+
+    Returns (estimates, error bounds), each of shape (k, c) for an integrand
+    with c components, and the integrand's component shape.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    est, err = [], []
+    for i in range(0, owner.size, _SLICE_PANELS):
+        s = slice(i, i + _SLICE_PANELS)
+        fx = np.asarray(f(mid[s, None] + half[s, None] * _XGK, owner[s]), dtype=float)
+        components = fx.shape[2:]
+        fx = fx.reshape(fx.shape[0], 15, -1)
+        kronrod = half[s, None] * (fx * _WGK[:, None]).sum(axis=1)
+        gauss = half[s, None] * (fx[:, 1::2] * _WG[:, None]).sum(axis=1)
+        est.append(kronrod)
+        err.append(np.abs(kronrod - gauss))
+    if len(est) == 1:
+        return est[0], err[0], components
+    return np.concatenate(est), np.concatenate(err), components
+
+
+def integrate_many(
+    f: Callable, lo, hi, spec: QuadSpec | None = None
+) -> tuple[np.ndarray, dict[int, QuadratureError]]:
+    """Integrate one vectorized integrand over many intervals at once.
+
+    Breadth-first adaptive Gauss-Kronrod: every unconverged panel of every
+    interval at one refinement level goes to the integrand in one call.  The
+    acceptance rule is that of a depth-first bisection: with
+    ``tol = max(abs_tol, rel_tol * |first estimate|)`` per interval, a panel
+    at depth d is accepted when its Kronrod-Gauss difference is at most
+    ``tol * 2**-d``, and is otherwise split in half.  The accepted panels and
+    the result of an interval therefore do not depend on the other intervals
+    of the batch.
+
+    Args:
+        f: ``f(x, owner)`` with ``x`` a (k, 15) array of abscissas and
+            ``owner`` the (k,) interval index of each row; returns an array
+            of shape (k, 15), or (k, 15, c) for c components integrated on
+            shared panels (a panel is then accepted when every component
+            meets its own tolerance).
+        lo, hi: 1-d arrays of bounds, ``lo <= hi`` elementwise.
+        spec: Tolerances; defaults to ``QuadSpec()``.
+
+    Returns:
+        ``(values, errors)``: the m integrals (shape (m,) or (m, c)), and a
+        dict from interval index to the ``QuadratureError`` that failed it.
+        Failed entries of ``values`` are NaN; the others are unaffected.  An
+        interval fails when the integrand is not finite on one of its
+        panels (at once, naming that panel), when a panel at max_depth is
+        unconverged (naming the leftmost), or when its next level would
+        hold more than MAX_ACTIVE_PANELS panels.
+
+    Raises:
+        ValueError: if some lo > hi, a bound is not finite, or the bounds
+            are not 1-d arrays of one shape.
+    """
+    if spec is None:
+        spec = DEFAULT_QUAD
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError(f"integrate needs 1-d bounds of one shape, got {lo.shape} and {hi.shape}")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("integrate requires finite bounds")
+    if np.any(lo > hi):
+        i = int(np.argmax(lo > hi))
+        raise ValueError(f"integrate requires lo <= hi, got [{float(lo[i])!r}, {float(hi[i])!r}]")
+    errors: dict[int, QuadratureError] = {}
+    total = tol = None
+    components: tuple[int, ...] = ()
+
+    def refine(owner, a, b, depth):
+        # The panels [a, b] of the intervals ``owner`` (sorted), at ``depth``.
+        nonlocal total, tol, components
+        while owner.size:
+            if owner.size > MAX_ACTIVE_PANELS:
+                # Several intervals (each holds at most the cap): refine two
+                # groups of them one after the other.
+                cut = int(np.searchsorted(owner, owner[owner.size // 2]))
+                if cut == 0:
+                    cut = int(np.searchsorted(owner, owner[0], side="right"))
+                refine(owner[:cut], a[:cut], b[:cut], depth)
+                refine(owner[cut:], a[cut:], b[cut:], depth)
+                return
+            est, err, components = _gk15_many(f, a, b, owner)
+            if total is None:
+                total = np.zeros((lo.size, est.shape[1]))
+                tol = np.zeros_like(total)
+                tol[owner] = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(est))
+            # A non-finite integrand value makes its panel's error bound non-finite.
+            if not np.isfinite(err).all():
+                for i in np.flatnonzero(~np.isfinite(err).all(axis=1)):
+                    errors.setdefault(int(owner[i]), QuadratureError(
+                        f"integrand not finite on [{float(a[i])!r}, {float(b[i])!r}] at depth {depth}",
+                        panel_lo=float(a[i]), panel_hi=float(b[i]), panel_err=math.nan,
+                    ))
+            ok = (err <= tol[owner] * 0.5**depth).all(axis=1)
+            split = ~ok
+            if errors:
+                live = ~np.isin(owner, list(errors))
+                ok &= live
+                split &= live
+            np.add.at(total, owner[ok], est[ok])
+            if depth >= spec.max_depth:
+                for i in np.flatnonzero(split):
+                    errors.setdefault(int(owner[i]), QuadratureError(
+                        f"quadrature did not converge on [{float(a[i])!r}, {float(b[i])!r}] "
+                        f"(panel error {err[i].max():.3e} > "
+                        f"{tol[owner[i]].min() * 0.5**depth:.3e} at depth {depth})",
+                        panel_lo=float(a[i]), panel_hi=float(b[i]), panel_err=float(err[i].max()),
+                    ))
+                return
+            owner, a, b = owner[split], a[split], b[split]
+            if 2 * owner.size > MAX_ACTIVE_PANELS:
+                err = err[split]
+                crowded = 2 * np.bincount(owner, minlength=lo.size) > MAX_ACTIVE_PANELS
+                for j in np.flatnonzero(crowded):
+                    mine = owner == j
+                    errors[int(j)] = QuadratureError(
+                        f"quadrature did not converge on [{float(lo[j])!r}, {float(hi[j])!r}]: "
+                        f"{int(mine.sum())} panels unconverged at depth {depth}",
+                        panel_lo=float(a[mine][0]), panel_hi=float(b[mine][-1]),
+                        panel_err=float(err[mine].max()),
+                    )
+                keep = ~crowded[owner]
+                owner, a, b = owner[keep], a[keep], b[keep]
+            mid = 0.5 * (a + b)
+            owner = np.repeat(owner, 2)
+            a = np.repeat(a, 2)
+            a[1::2] = mid
+            b = np.repeat(b, 2)
+            b[0::2] = mid
+            depth += 1
+
+    owner = np.flatnonzero(lo < hi)
+    refine(owner, lo[owner], hi[owner], 0)
+    if total is None:
+        total = np.zeros((lo.size, 1))
+    total[list(errors)] = np.nan
+    return total.reshape((lo.size,) + components), errors
 
 
 def integrate(f: Callable, lo: float, hi: float, spec: QuadSpec | None = None) -> float:
     """Integrate a vectorized real function over [lo, hi].
 
-    Adaptive Gauss-Kronrod bisection: each panel carries an embedded error
-    estimate, and a panel is split until its share of the global tolerance is
-    met.  The recursion is pure (left before right, fixed tolerance split),
-    so the result does not depend on evaluation scheduling.
-
-    Args:
-        f: Vectorized integrand; called with ``numpy`` arrays of abscissas.
-        lo, hi: Integration bounds, ``lo <= hi``.
-        spec: Tolerances; defaults to ``QuadSpec()``.
+    The batch-of-one case of :func:`integrate_many`: ``f`` receives one
+    1-d array holding every node of a refinement level.
 
     Returns:
         The integral estimate, accurate to
         ``max(abs_tol, rel_tol * |estimate|)``.
 
     Raises:
-        QuadratureError: if max_depth is reached with the tolerance unmet.
-        ValueError: if lo > hi.
+        QuadratureError: if max_depth is reached with the tolerance unmet,
+            or the integrand is not finite somewhere.
+        ValueError: if lo > hi or a bound is not finite.
+    """
+    return float(first(*integrate_many(
+        lambda x, owner: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
+        [lo], [hi], spec,
+    )))
+
+
+def find_root_decreasing_many(
+    g: Callable, lo, hi, spec: RootSpec | None = None
+) -> list[RootResult | NumericsError]:
+    """Find the roots of many decreasing functions, stepping them in lockstep.
+
+    ``g(x, idx)`` evaluates the functions ``idx`` (an index array) at the
+    points ``x`` and returns ``(values, errors)``, with ``errors`` a dict from
+    position in ``idx`` to the ``NumericsError`` that failed it.  Each
+    function takes exactly the iterates :func:`find_root_decreasing` takes
+    for it alone: both endpoints first, then Illinois-damped false position
+    with a bisection step every fourth iteration, never outside [lo, hi].
+
+    Returns:
+        One entry per function: a ``RootResult`` with ``|residual| <=
+        f_tol`` or a final bracket width ``<= x_tol``, or the error that
+        ended it: ``RootBelowBracket`` if ``g(lo) <= f_tol``,
+        ``BracketError`` if ``g(hi) > f_tol``, ``NumericsError`` if max_iter
+        is exhausted, or an error returned by ``g``.
+
+    Raises:
+        ValueError: unless hi > lo for every function.
     """
     if spec is None:
-        spec = DEFAULT_QUAD
-    if lo > hi:
-        raise ValueError(f"integrate requires lo <= hi, got [{lo!r}, {hi!r}]")
-    if lo == hi:
-        return 0.0
-    rough, err = _gk15(f, lo, hi)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(rough))
-    if err <= tol:
-        return rough
-    return _adapt(f, lo, hi, tol, 0, spec)
+        spec = DEFAULT_ROOT
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo, hi = lo.ravel(), hi.ravel()
+    if not np.all(hi > lo):
+        i = int(np.argmin(hi > lo))
+        raise ValueError(
+            f"find_root_decreasing requires hi > lo, got [{float(lo[i])!r}, {float(hi[i])!r}]"
+        )
+    out: list = [None] * lo.size
+
+    def evaluate(idx, x):
+        if not idx.size:
+            return x, np.zeros(0, dtype=bool)
+        values, errors = g(x, idx)
+        live = np.ones(idx.size, dtype=bool)
+        for j, exc in errors.items():
+            out[idx[j]] = exc
+            live[j] = False
+        return np.asarray(values, dtype=float), live
+
+    idx = np.arange(lo.size)
+    g_lo, live = evaluate(idx, lo)
+    for i in np.flatnonzero(live & (g_lo <= spec.f_tol)):
+        out[idx[i]] = RootBelowBracket(float(lo[i]), float(g_lo[i]))
+    live &= ~(g_lo <= spec.f_tol)
+    idx, a, fa = idx[live], lo[live], g_lo[live]
+    g_hi, live = evaluate(idx, hi[idx])
+    for i in np.flatnonzero(live & (g_hi > spec.f_tol)):
+        out[idx[i]] = BracketError(
+            f"no root in bracket: g({float(hi[idx[i]])!r}) = {float(g_hi[i])!r} > 0 "
+            "for a decreasing function"
+        )
+    for i in np.flatnonzero(live & (g_hi > 0.0) & (g_hi <= spec.f_tol)):
+        out[idx[i]] = RootResult(float(hi[idx[i]]), float(g_hi[i]), 0)
+    live &= ~(g_hi > 0.0)
+    idx, a, fa, b, fb = idx[live], a[live], fa[live], hi[idx[live]], g_hi[live]
+    side = np.zeros(idx.size, dtype=int)  # +1 / -1: which endpoint the last update replaced
+    for it in range(1, spec.max_iter + 1):
+        if not idx.size:
+            break
+        bisect = 0.5 * (a + b)
+        if it % 4 == 0:
+            x = bisect
+        else:
+            x = b - fb * (b - a) / (fb - fa)
+            x = np.where((a < x) & (x < b), x, bisect)
+        fx, live = evaluate(idx, x)
+        hit = live & (np.abs(fx) <= spec.f_tol)
+        up = fx > 0.0
+        fb = np.where(up, np.where(side == 1, 0.5 * fb, fb), fx)
+        fa = np.where(up, fx, np.where(side == -1, 0.5 * fa, fa))
+        a, b = np.where(up, x, a), np.where(up, b, x)
+        side = np.where(up, 1, -1)
+        hit |= live & (b - a <= spec.x_tol)
+        for i in np.flatnonzero(hit):
+            out[idx[i]] = RootResult(float(x[i]), float(fx[i]), it)
+        live &= ~hit
+        idx, a, fa, b, fb, side = idx[live], a[live], fa[live], b[live], fb[live], side[live]
+    for i in range(idx.size):
+        out[idx[i]] = NumericsError(
+            f"root iteration limit ({spec.max_iter}) exhausted; "
+            f"bracket [{float(a[i])!r}, {float(b[i])!r}]"
+        )
+    return out
 
 
 def find_root_decreasing(
@@ -225,7 +460,8 @@ def find_root_decreasing(
 ) -> RootResult:
     """Find the root of a decreasing function g on [lo, hi].
 
-    Both endpoints are evaluated up front; nothing is assumed.  The bracket
+    The batch-of-one case of :func:`find_root_decreasing_many`.  Both
+    endpoints are evaluated up front; nothing is assumed.  The bracket
     always retains a sign change, and g is never evaluated outside [lo, hi].
     Iteration uses secant (Illinois-damped false position) steps with a
     bisection step every fourth iteration as a worst-case guarantee.
@@ -242,50 +478,10 @@ def find_root_decreasing(
         NumericsError: if max_iter is exhausted (should not happen for a
             bracketed method with sane tolerances).
     """
-    if spec is None:
-        spec = DEFAULT_ROOT
-    if not hi > lo:
-        raise ValueError(f"find_root_decreasing requires hi > lo, got [{lo!r}, {hi!r}]")
-    g_lo = g(lo)
-    if g_lo <= spec.f_tol:
-        raise RootBelowBracket(lo, g_lo)
-    g_hi = g(hi)
-    if g_hi > spec.f_tol:
-        raise BracketError(
-            f"no root in bracket: g({hi!r}) = {g_hi!r} > 0 for a decreasing function"
-        )
-    if g_hi > 0.0:
-        # Within f_tol of a root at the upper endpoint.
-        return RootResult(hi, g_hi, 0)
+    def g_many(x, idx):
+        return [g(float(x[0]))], {}
 
-    a, fa = lo, g_lo
-    b, fb = hi, g_hi
-    side = 0  # +1 / -1: which endpoint the last update replaced (Illinois damping)
-    for it in range(1, spec.max_iter + 1):
-        if it % 4 == 0:
-            x = 0.5 * (a + b)
-        else:
-            x = b - fb * (b - a) / (fb - fa)
-            if not a < x < b:
-                x = 0.5 * (a + b)
-        fx = g(x)
-        if abs(fx) <= spec.f_tol:
-            return RootResult(x, fx, it)
-        if fx > 0.0:
-            a, fa = x, fx
-            if side == +1:
-                fb *= 0.5
-            side = +1
-        else:
-            b, fb = x, fx
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        if b - a <= spec.x_tol:
-            return RootResult(x, fx, it)
-    raise NumericsError(
-        f"root iteration limit ({spec.max_iter}) exhausted; bracket [{a!r}, {b!r}]"
-    )
+    return unwrap(find_root_decreasing_many(g_many, lo, hi, spec)[0])
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

@@ -12,11 +12,14 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "Z_CAP",
     "MaterialParams",
     "DomainBox",
     "validate",
+    "check_arg",
     "default_params",
     "load_params",
     "domain_from",
@@ -63,6 +66,23 @@ def validate(params: MaterialParams) -> MaterialParams:
         if not math.isfinite(getattr(params, name)):
             raise ValueError(f"{name} must be finite, got {getattr(params, name)!r}")
     return params
+
+
+def check_arg(name: str, value, positive: bool = False) -> np.ndarray:
+    """Return ``value`` as a float array after checking every entry.
+
+    Raises:
+        ValueError: naming the argument, for a non-finite entry, a negative
+            one, or with ``positive`` a zero one.
+    """
+    arr = np.asarray(value, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {float(arr[bad][0])!r}")
+    bad = arr <= 0 if positive else arr < 0
+    if bad.any():
+        raise ValueError(f"{name} must be {'> 0' if positive else '>= 0'}, got {float(arr[bad][0])!r}")
+    return arr
 
 
 def default_params() -> MaterialParams:

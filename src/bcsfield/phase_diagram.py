@@ -1,9 +1,13 @@
 """Batch evaluation over (T, H) grids and CSV serialization.
 
-Grids are evaluated point by point with pure solver calls, so a sweep is
-deterministic: the same spec and parameters always produce byte-identical
-CSV.  Individual solver failures are recorded as row markers and the sweep
-continues; more than 10% failed points aborts the sweep.
+A sweep is three batched solves: the critical fields of every temperature
+in one lockstep root iteration, then the gaps of every (T, H) point in
+another, then the grand potentials of every point in one breadth-first
+quadrature.  Each point's result does not depend on the rest of the batch,
+so a sweep is deterministic: the same spec and parameters always produce
+byte-identical CSV.  A point whose solve fails fails on its own: it is
+recorded as a row marker and the sweep continues; more than 10% failed
+points aborts the sweep.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NumericsError, QuadSpec, RootSpec
-from .params import DomainBox, MaterialParams
-from .solvers import DomainWarning, solve_gap_squared, solve_hc
-from .thermo import DosModel, entropy_gap, entropy_gap_fd, grand_potential_N, grand_potential_S, psi
+from .numerics import NumericsError, QuadSpec, RootSpec, unwrap
+from .params import DomainBox, MaterialParams, check_arg
+from .solvers import DomainWarning, solve_gap_squared_many, solve_hc_many
+from .thermo import DosModel, entropy_gap, entropy_gap_fd, psi_many
 
 __all__ = ["SweepSpec", "SweepResult", "SweepError", "run_sweep", "write_csv"]
 
@@ -69,6 +73,8 @@ def _check_grid(name: str, grid) -> None:
     if len(grid) != 3:
         raise ValueError(f"{name} must be (min, max, n)")
     lo, hi, n = grid
+    check_arg(f"{name} min", lo)
+    check_arg(f"{name} max", hi)
     if n < 2:
         raise ValueError(f"{name}: need n >= 2, got {n!r}")
     if not lo < hi:
@@ -114,35 +120,29 @@ def run_sweep(
     result = SweepResult()
     failures = 0
     points = 0
-
-    hc_cache: dict[float, float] = {}
-
-    def hc_at(T: float) -> float:
-        if T not in hc_cache:
-            hc_cache[T] = solve_hc(T, p, dbox, root, quad)
-        return hc_cache[T]
+    hcs = solve_hc_many(t_values, p, dbox, root, quad) if needs_hc else []
 
     if "hc_curve" in spec.outputs:
         rows = []
-        for T in t_values:
+        for T, hc in zip(t_values, hcs):
             points += 1
-            try:
-                rows.append((T, hc_at(T)))
-            except NumericsError:
+            if isinstance(hc, NumericsError):
                 failures += 1
-                rows.append((T, math.nan))
+                hc = math.nan
+            rows.append((T, hc))
         result.hc_curve = rows
 
     if "entropy_curve" in spec.outputs:
         rows = []
-        for T in t_values:
+        for T, hc in zip(t_values, hcs):
             points += 1
             try:
+                hc = unwrap(hc)
                 rows.append((
                     T,
-                    hc_at(T),
-                    entropy_gap(T, p, dos, dbox, root, quad),
-                    entropy_gap_fd(T, p, dos, dbox, root, quad),
+                    hc,
+                    entropy_gap(T, p, dos, dbox, root, quad, hc=hc),
+                    entropy_gap_fd(T, p, dos, dbox, root, hc=hc),
                 ))
             except NumericsError:
                 failures += 1
@@ -152,36 +152,35 @@ def run_sweep(
     wants_gap = "gap_surface" in spec.outputs
     wants_psi = "psi_surface" in spec.outputs
     if wants_gap or wants_psi:
+        states: list[tuple[float, float]] = []
+        for k, T in enumerate(t_values):
+            if spec.H_grid == "auto":
+                # A failed H_c leaves no field range: the sweep stops here.
+                h_values = np.linspace(0.0, unwrap(hcs[k]), spec_h_n(spec))
+            else:
+                h_values = np.linspace(*spec.H_grid)
+            states.extend((T, float(H)) for H in h_values)
+        T_all = [T for T, _ in states]
+        H_all = [H for _, H in states]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainWarning)
+            if wants_psi:
+                solved = psi_many(T_all, H_all, p, dos, dbox, root, quad)
+            else:
+                solved = solve_gap_squared_many(T_all, H_all, p, dbox, root, quad)
         gap_rows: list[tuple] = []
         psi_rows: list[tuple] = []
-        for T in t_values:
-            if spec.H_grid == "auto":
-                h_values = [float(h) for h in np.linspace(0.0, hc_at(T), spec_h_n(spec))]
-            else:
-                h_lo, h_hi, h_n = spec.H_grid
-                h_values = [float(h) for h in np.linspace(h_lo, h_hi, h_n)]
-            for H in h_values:
-                points += 1
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DomainWarning)
-                        gap = solve_gap_squared(T, H, p, dbox, root, quad)
-                        if wants_gap:
-                            state = "N" if gap.boundary else "S"
-                            gap_rows.append((T, H, gap.Y, gap.delta, state))
-                        if wants_psi:
-                            omega_s = grand_potential_S(T, H, p, dos, gap, quad)
-                            omega_n = (
-                                omega_s if gap.Y == 0.0
-                                else grand_potential_N(T, H, p, dos, quad)
-                            )
-                            psi_rows.append((T, H, omega_s, omega_n, omega_s - omega_n))
-                except NumericsError:
-                    failures += 1
-                    if wants_gap:
-                        gap_rows.append((T, H, math.nan, math.nan, "ERR"))
-                    if wants_psi:
-                        psi_rows.append((T, H, math.nan, math.nan, math.nan))
+        for (T, H), r in zip(states, solved):
+            points += 1
+            if isinstance(r, NumericsError):
+                failures += 1
+                gap_rows.append((T, H, math.nan, math.nan, "ERR"))
+                psi_rows.append((T, H, math.nan, math.nan, math.nan))
+                continue
+            gap = r.gap if wants_psi else r
+            gap_rows.append((T, H, gap.Y, gap.delta, "N" if gap.boundary else "S"))
+            if wants_psi:
+                psi_rows.append((T, H, r.omega_S, r.omega_N, r.psi))
         if wants_gap:
             result.gap_surface = gap_rows
         if wants_psi:

@@ -12,6 +12,11 @@ box, every quantity of interest is the unique root of F along one axis:
 * ``hc_slope_at_tc``    -- closed-form slope of the critical-field curve at
                            the transition temperature;
 * ``build_curve``       -- sampled critical-field curve.
+
+``solve_hc_many`` and ``solve_gap_squared_many`` solve a whole batch of
+states with one lockstep root iteration over batched evaluations of F; a
+state that fails comes back as its error without changing the others.  The
+scalar ``solve_hc`` and ``solve_gap_squared`` are their batch-of-one cases.
 """
 
 from __future__ import annotations
@@ -22,17 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import F_eval, F_partials, StatePoint, fermi_delta
+from .kernel import F_eval, F_eval_many, F_partials, StatePoint, fermi_delta
 from .numerics import (
     BracketError,
     NumericsError,
     QuadSpec,
     RootBelowBracket,
+    RootResult,
     RootSpec,
     find_root_decreasing,
+    find_root_decreasing_many,
     integrate,
+    unwrap,
 )
-from .params import Z_CAP, DomainBox, MaterialParams, validate
+from .params import Z_CAP, DomainBox, MaterialParams, check_arg, validate
 
 __all__ = [
     "GapSolution",
@@ -41,7 +49,9 @@ __all__ = [
     "SingularDerivativeError",
     "solve_tau1",
     "solve_gap_squared",
+    "solve_gap_squared_many",
     "solve_hc",
+    "solve_hc_many",
     "implicit_partials",
     "hc_slope_at_tc",
     "build_curve",
@@ -53,8 +63,23 @@ class DomainWarning(UserWarning):
 
     Results are still computed (the kernel is defined everywhere), but
     uniqueness and sign guarantees hold only for mu_B H / T <= Z_CAP and
-    T >= T0.
+    T >= T0.  The message is one fixed text per condition, so Python's
+    warning registry keeps one entry per condition and call site however
+    many states are solved; the state is in the attributes ``T``, ``H``,
+    ``z`` (= mu_B H / T) and ``T0``.
     """
+
+    def __init__(self, message: str, T: float = math.nan, H: float = math.nan,
+                 z: float = math.nan, T0: float = math.nan):
+        super().__init__(message)
+        self.T = T
+        self.H = H
+        self.z = z
+        self.T0 = T0
+
+
+_OUTSIDE_ZONE = f"mu_B H / T > {Z_CAP}: outside the monotonicity guarantee zone"
+_BELOW_T0 = "T below the box lower bound T0"
 
 
 class SingularDerivativeError(NumericsError):
@@ -135,6 +160,28 @@ def solve_tau1(
     return float(result.root)
 
 
+def solve_gap_squared_many(
+    T,
+    H,
+    p: MaterialParams,
+    dbox: DomainBox,
+    spec: RootSpec | None = None,
+    quad: QuadSpec | None = None,
+) -> list[GapSolution | NumericsError]:
+    """Squared gaps at a batch of states (T and H broadcast to one length).
+
+    One lockstep root iteration over all states; each state takes the
+    iterates :func:`solve_gap_squared` takes for it alone.  Returns one
+    entry per state: its ``GapSolution``, or the ``NumericsError`` that
+    failed it.  Warns once per state outside the guarantee zone.
+
+    Raises:
+        ValueError: naming the argument, for non-finite T or H, T <= 0 or
+            H < 0.
+    """
+    return _solve_gaps(T, H, p, dbox, spec, quad)
+
+
 def solve_gap_squared(
     T: float,
     H: float,
@@ -149,42 +196,77 @@ def solve_gap_squared(
     Y = 0 with the boundary flag set.  Warns (but proceeds) outside the
     guarantee zone: mu_B H / T > Z_CAP or T < T0.
     """
-    if not T > 0:
-        raise ValueError(f"T must be > 0, got {T!r}")
-    if H < 0:
-        raise ValueError(f"H must be >= 0, got {H!r}")
-    spec = spec if spec is not None else RootSpec()
-    if p.mu_B * H / T > Z_CAP:
-        warnings.warn(
-            f"mu_B H / T = {p.mu_B * H / T:.4g} > {Z_CAP}: outside the "
-            "monotonicity guarantee zone",
-            DomainWarning,
-            stacklevel=2,
-        )
-    if T < dbox.T0:
-        warnings.warn(
-            f"T = {T:.6g} below the box lower bound T0 = {dbox.T0:.6g}",
-            DomainWarning,
-            stacklevel=2,
-        )
+    return unwrap(_solve_gaps(T, H, p, dbox, spec, quad)[0])
 
-    def g(Y: float) -> float:
-        return F_eval(StatePoint(T, H, Y), p, quad)
 
-    try:
-        result = find_root_decreasing(g, 0.0, dbox.Y0, spec)
-    except RootBelowBracket as sig:
-        return GapSolution(
-            T=T, H=H, Y=0.0, delta=0.0, residual=float(sig.value), iterations=0,
-            boundary=True,
-        )
-    # BracketError (F(T,H,Y0) > 0) propagates: the box corner check is
-    # supposed to make that impossible, so it signals a corrupted box.
-    y = float(result.root)
-    return GapSolution(
-        T=T, H=H, Y=y, delta=math.sqrt(y), residual=float(result.residual),
-        iterations=result.iterations, boundary=False,
-    )
+def _solve_gaps(T, H, p, dbox, spec, quad) -> list[GapSolution | NumericsError]:
+    """The batch gap solve behind both public functions.
+
+    Its warnings point at the line that called the public function.
+    """
+    T, H = (a.ravel() for a in np.broadcast_arrays(
+        check_arg("T", T, positive=True), check_arg("H", H)))
+    for t, h in zip(T.tolist(), H.tolist()):
+        z = p.mu_B * h / t
+        if z > Z_CAP:
+            warnings.warn(DomainWarning(_OUTSIDE_ZONE, t, h, z, dbox.T0), stacklevel=3)
+        if t < dbox.T0:
+            warnings.warn(DomainWarning(_BELOW_T0, t, h, z, dbox.T0), stacklevel=3)
+
+    def g(Y, idx):
+        return F_eval_many(T[idx], H[idx], Y, p, quad)
+
+    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.Y0), spec)
+    out: list[GapSolution | NumericsError] = []
+    for t, h, r in zip(T.tolist(), H.tolist(), roots):
+        if isinstance(r, RootBelowBracket):
+            r = GapSolution(T=t, H=h, Y=0.0, delta=0.0, residual=r.value, iterations=0,
+                            boundary=True)
+        elif isinstance(r, RootResult):
+            r = GapSolution(T=t, H=h, Y=r.root, delta=math.sqrt(r.root), residual=r.residual,
+                            iterations=r.iterations, boundary=False)
+        # BracketError (F(T,H,Y0) > 0) stays an error: the box corner check
+        # is supposed to make that impossible, so it signals a corrupted box.
+        out.append(r)
+    return out
+
+
+def solve_hc_many(
+    T,
+    p: MaterialParams,
+    dbox: DomainBox,
+    spec: RootSpec | None = None,
+    quad: QuadSpec | None = None,
+) -> list[float | NumericsError]:
+    """Critical fields at a batch of temperatures, in one lockstep root iteration.
+
+    Returns one entry per temperature: H_c(T) as :func:`solve_hc` gives it,
+    or the ``NumericsError`` that failed it.
+
+    Raises:
+        ValueError: naming T, for a non-finite or non-positive temperature.
+    """
+    T = check_arg("T", T, positive=True).ravel()
+
+    def g(H, idx):
+        return F_eval_many(T[idx], H, 0.0, p, quad)
+
+    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.H_max), spec)
+    out: list[float | NumericsError] = []
+    for t, r in zip(T.tolist(), roots):
+        if isinstance(r, RootBelowBracket):
+            r = 0.0
+        elif isinstance(r, RootResult):
+            r = r.root
+        elif isinstance(r, BracketError):
+            cause = r
+            r = NumericsError(
+                f"critical field exceeds domain cap H_max = {dbox.H_max:.6g} "
+                f"at T = {t:.6g}; raise T0"
+            )
+            r.__cause__ = cause
+        out.append(r)
+    return out
 
 
 def solve_hc(
@@ -202,22 +284,9 @@ def solve_hc(
     Raises:
         NumericsError: if F(T, H_max, 0) > 0, i.e. the critical field
             exceeds the domain cap; raise T0 to shrink the curve's range.
+        ValueError: for a non-finite or non-positive T.
     """
-    spec = spec if spec is not None else RootSpec()
-
-    def g(H: float) -> float:
-        return F_eval(StatePoint(T, H, 0.0), p, quad)
-
-    try:
-        result = find_root_decreasing(g, 0.0, dbox.H_max, spec)
-    except RootBelowBracket:
-        return 0.0
-    except BracketError as exc:
-        raise NumericsError(
-            f"critical field exceeds domain cap H_max = {dbox.H_max:.6g} "
-            f"at T = {T:.6g}; raise T0"
-        ) from exc
-    return float(result.root)
+    return unwrap(solve_hc_many(T, p, dbox, spec, quad)[0])
 
 
 def implicit_partials(
@@ -297,6 +366,7 @@ def build_curve(
     if n < 2:
         raise ValueError(f"need n >= 2 grid points, got {n!r}")
     grid = np.linspace(dbox.T0, dbox.tau1, n)
-    samples = [(float(T), solve_hc(float(T), p, dbox, spec, quad)) for T in grid]
+    hcs = solve_hc_many(grid, p, dbox, spec, quad)
+    samples = [(float(T), unwrap(hc)) for T, hc in zip(grid, hcs)]
     slope = hc_slope_at_tc(p, spec, quad, tau1=dbox.tau1)
     return CriticalFieldCurve(tau1=dbox.tau1, samples=samples, slope_at_tau1=slope)

@@ -11,6 +11,11 @@ constant solved on the symmetric window; the windows themselves keep their
 physical shifts.  That window mismatch is exactly what makes the entropy
 gap nonzero for a non-constant density of states, and with it the phase
 transition first order.
+
+``psi_many`` solves the gaps of a batch of states and integrates all of
+their windows, superconducting and normal, in one breadth-first quadrature;
+``psi``, ``grand_potential_S`` and ``grand_potential_N`` are batch-of-one
+cases of the same code.
 """
 
 from __future__ import annotations
@@ -22,13 +27,22 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import fermi, log1p_exp_neg
-from .numerics import QuadSpec, RootSpec, integrate
+from .numerics import (
+    NumericsError,
+    QuadratureError,
+    QuadSpec,
+    RootSpec,
+    first,
+    integrate,
+    integrate_many,
+    unwrap,
+)
 from .params import DomainBox, MaterialParams
 from .solvers import (
     DomainWarning,
     GapSolution,
     implicit_partials,
-    solve_gap_squared,
+    solve_gap_squared_many,
     solve_hc,
 )
 
@@ -44,6 +58,7 @@ __all__ = [
     "grand_potential_S",
     "grand_potential_N",
     "psi",
+    "psi_many",
     "entropy_gap",
     "entropy_gap_fd",
 ]
@@ -155,58 +170,60 @@ class ThermoPoint:
     gap: GapSolution | None = field(repr=False, compare=False, default=None)
 
 
-def _bracket_up(xi, T: float, Y: float, s: float, h: float):
-    """Spin-up grand-potential bracket at squared gap Y."""
-    eta = np.asarray(xi, dtype=float) + s
-    beta = 1.0 / T
-    if Y == 0.0:
-        E = np.abs(eta)
-        core = eta - E
-    else:
-        E = np.sqrt(eta * eta + Y)
-        core = eta - eta * eta / E - (Y / E) * fermi(beta * (E + h))
-    return core - 2.0 * T * log1p_exp_neg(beta * (E + h))
+def _bracket(xi, T, Y, s, h, spin):
+    """Grand-potential bracket of one spin (+1 up, -1 down) at squared gap Y.
 
-
-def _bracket_dn(xi, T: float, Y: float, s: float, h: float):
-    """Spin-down grand-potential bracket at squared gap Y."""
-    eta = np.asarray(xi, dtype=float) + s
-    beta = 1.0 / T
-    if Y == 0.0:
-        E = np.abs(eta)
-        core = eta - E
-    else:
-        E = np.sqrt(eta * eta + Y)
-        core = eta - (eta * eta + 2.0 * Y) / E + (Y / E) * fermi(-beta * (E - h))
-    return core - 2.0 * T * log1p_exp_neg(beta * (E - h))
-
-
-def _integrate_split(f, lo: float, hi: float, split: float, quad: QuadSpec | None) -> float:
-    """Integrate f over [lo, hi], splitting at one interior point if present.
-
-    The brackets have a kink (Y = 0) or a sharp peak (Y > 0) at xi = -s;
-    splitting there keeps every panel analytic.
+    Up:   eta - eta^2/E - (Y/E) f(beta(E + h)) - 2T ln(1 + e^(-beta(E + h)));
+    down: eta - (eta^2 + 2Y)/E + (Y/E) f(-beta(E - h)) - 2T ln(1 + e^(-beta(E - h))).
+    The spin sign folds the two into one expression that rounds exactly as
+    either form; at Y = 0 both reduce to eta - |eta| plus the same log term.
+    Every argument after ``xi`` may be an array that broadcasts against it.
     """
-    if lo < split < hi:
-        return integrate(f, lo, split, quad) + integrate(f, split, hi, quad)
-    return integrate(f, lo, hi, quad)
+    eta = np.asarray(xi, dtype=float) + s
+    beta = 1.0 / T
+    normal = Y == 0.0
+    E = np.where(normal, np.abs(eta), np.sqrt(eta * eta + Y))
+    E_safe = np.where(normal, 1.0, E)
+    gapped = (eta - (eta * eta + (1.0 - spin) * Y) / E_safe
+              - spin * (Y / E_safe) * fermi(spin * (beta * (E + spin * h))))
+    core = np.where(normal, eta - E, gapped)
+    return core - 2.0 * T * log1p_exp_neg(beta * (E + spin * h))
 
 
-def _omega(T: float, H: float, Y: float, p: MaterialParams, dos: DosModel,
-           quad: QuadSpec | None) -> float:
+def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
+                quad: QuadSpec | None) -> tuple[np.ndarray, dict[int, QuadratureError]]:
+    """Grand potentials at a batch of states: ``(values, errors)``.
+
+    Each spin window [-w - s - spin h, w - s - spin h] is split at the
+    bracket's kink (Y = 0) or sharp peak (Y > 0) at xi = -s, which keeps
+    every panel analytic; a split point outside the window leaves one
+    empty piece.  All 4m pieces go to one quadrature.
+    """
+    T, H, Y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (T, H, Y))
+    m = T.size
     s = p.a * H + p.b * H * H
     h = p.mu_B * H
     w = p.hbar_omega_D
+    # piece k = 4 i + j: state i, spin up (j = 0, 1) or down (j = 2, 3).
+    spin = np.tile([1.0, 1.0, -1.0, -1.0], m)
+    state = np.repeat(np.arange(m), 4)
+    lo = -w - s[state] - spin * h[state]
+    hi = w - s[state] - spin * h[state]
+    split = np.clip(-s[state], lo, hi)
+    left = np.tile([True, False, True, False], m)
+    lo, hi = np.where(left, lo, split), np.where(left, split, hi)
 
-    def up(xi):
-        return dos_eval(dos, np.asarray(xi) + p.mu, p) * _bracket_up(xi, T, Y, s, h)
+    def f(xi, k):
+        i = state[k, None]
+        return dos_eval(dos, xi + p.mu, p) * _bracket(xi, T[i], Y[i], s[i], h[i], spin[k, None])
 
-    def dn(xi):
-        return dos_eval(dos, np.asarray(xi) + p.mu, p) * _bracket_dn(xi, T, Y, s, h)
-
-    val_up = _integrate_split(up, -w - s - h, w - s - h, -s, quad)
-    val_dn = _integrate_split(dn, -w - s + h, w - s + h, -s, quad)
-    return 0.5 * (val_up + val_dn)
+    pieces, piece_errors = integrate_many(f, lo, hi, quad)
+    pieces = pieces.reshape(m, 4)
+    values = 0.5 * ((pieces[:, 0] + pieces[:, 1]) + (pieces[:, 2] + pieces[:, 3]))
+    errors: dict[int, QuadratureError] = {}
+    for k in sorted(piece_errors):
+        errors.setdefault(k // 4, piece_errors[k])
+    return values, errors
 
 
 def grand_potential_S(
@@ -222,7 +239,7 @@ def grand_potential_S(
     With a zero gap this is the identical code path as
     :func:`grand_potential_N`, so the two agree exactly there.
     """
-    return _omega(T, H, gap.Y, p, dos, quad)
+    return float(first(*_omega_many(T, H, gap.Y, p, dos, quad)))
 
 
 def grand_potential_N(
@@ -233,7 +250,44 @@ def grand_potential_N(
     quad: QuadSpec | None = None,
 ) -> float:
     """Normal-state grand potential: the same expression with the gap forced to 0."""
-    return _omega(T, H, 0.0, p, dos, quad)
+    return float(first(*_omega_many(T, H, 0.0, p, dos, quad)))
+
+
+def psi_many(
+    T,
+    H,
+    p: MaterialParams,
+    dos: DosModel,
+    dbox: DomainBox,
+    spec: RootSpec | None = None,
+    quad: QuadSpec | None = None,
+) -> list[ThermoPoint | NumericsError]:
+    """:func:`psi` at a batch of states (T and H broadcast to one length).
+
+    One batched gap solve, then one quadrature over the superconducting and
+    normal windows of every state.  Returns one entry per state: its
+    ``ThermoPoint``, or the ``NumericsError`` of its gap solve or of one of
+    its grand potentials.
+    """
+    gaps = solve_gap_squared_many(T, H, p, dbox, spec, quad)
+    solved = [i for i, g in enumerate(gaps) if isinstance(g, GapSolution)]
+    paired = [i for i in solved if gaps[i].Y != 0.0]
+    # omega_S of every solved state, then omega_N of those with an open gap.
+    rows = solved + paired
+    values, errors = _omega_many([gaps[i].T for i in rows], [gaps[i].H for i in rows],
+                                 [gaps[i].Y for i in solved] + [0.0] * len(paired),
+                                 p, dos, quad)
+    normal_row = dict(zip(paired, range(len(solved), len(rows))))
+    out: list[ThermoPoint | NumericsError] = list(gaps)
+    for k_s, i in enumerate(solved):
+        k_n = normal_row.get(i, k_s)
+        if k_s in errors or k_n in errors:
+            out[i] = errors.get(k_s, errors.get(k_n))
+            continue
+        o_s, o_n = float(values[k_s]), float(values[k_n])
+        out[i] = ThermoPoint(T=gaps[i].T, H=gaps[i].H, omega_S=o_s, omega_N=o_n,
+                             psi=o_s - o_n, gap=gaps[i])
+    return out
 
 
 def psi(
@@ -251,11 +305,7 @@ def psi(
     both potentials evaluate through the same path) and is negative inside
     the superconducting region.
     """
-    gap = solve_gap_squared(T, H, p, dbox, spec, quad)
-    omega_s = grand_potential_S(T, H, p, dos, gap, quad)
-    omega_n = omega_s if gap.Y == 0.0 else grand_potential_N(T, H, p, dos, quad)
-    return ThermoPoint(T=T, H=H, omega_S=omega_s, omega_N=omega_n,
-                       psi=omega_s - omega_n, gap=gap)
+    return unwrap(psi_many(T, H, p, dos, dbox, spec, quad)[0])
 
 
 def entropy_gap(
@@ -265,6 +315,7 @@ def entropy_gap(
     dbox: DomainBox,
     spec: RootSpec | None = None,
     quad: QuadSpec | None = None,
+    hc: float | None = None,
 ) -> float:
     """Entropy jump across the transition at (T, H_c(T)), closed form.
 
@@ -275,9 +326,11 @@ def entropy_gap(
     the spin-split windows (centers -w - s and +w - s, half-width h = mu_B
     H_c).  For a constant DOS the two integrals cancel exactly; for an
     increasing DOS the brace is negative and so is dS, making the transition
-    first order.  At T = tau1 the slivers are empty and dS = 0.
+    first order.  At T = tau1 the slivers are empty and dS = 0.  ``hc`` may
+    pass H_c(T), already solved, to skip that root solve.
     """
-    hc = solve_hc(T, p, dbox, spec, quad)
+    if hc is None:
+        hc = solve_hc(T, p, dbox, spec, quad)
     df_dT, _ = implicit_partials(T, hc, p, dbox, spec, quad)
     s = p.a * hc + p.b * hc * hc
     h = p.mu_B * hc
@@ -304,6 +357,7 @@ def entropy_gap_fd(
     spec: RootSpec | None = None,
     quad: QuadSpec | None = None,
     delta_T: float | None = None,
+    hc: float | None = None,
 ) -> float:
     """Entropy jump as a one-sided finite difference of the potential gap.
 
@@ -314,6 +368,8 @@ def entropy_gap_fd(
 
     When T sits at the box lower bound the probe dips just below T0; that
     is deliberate, so the below-T0 warning is suppressed for the probes.
+    ``hc`` may pass H_c(T), already solved, to skip that root solve; the
+    three potential gaps are solved as one batch.
     """
     if delta_T is None:
         delta_T = 2e-3 * T
@@ -321,12 +377,12 @@ def entropy_gap_fd(
         raise ValueError(f"delta_T must be in (0, T), got {delta_T!r}")
     if quad is None:
         quad = _FD_QUAD
-    hc = solve_hc(T, p, dbox, spec, quad)
+    if hc is None:
+        hc = solve_hc(T, p, dbox, spec, quad)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        psi_0 = psi(T, hc, p, dos, dbox, spec, quad).psi
-        psi_1 = psi(T - delta_T, hc, p, dos, dbox, spec, quad).psi
-        psi_2 = psi(T - 0.5 * delta_T, hc, p, dos, dbox, spec, quad).psi
+        points = psi_many([T, T - delta_T, T - 0.5 * delta_T], hc, p, dos, dbox, spec, quad)
+    psi_0, psi_1, psi_2 = (unwrap(tp).psi for tp in points)
     fd_full = (psi_1 - psi_0) / delta_T
     fd_half = (psi_2 - psi_0) / (0.5 * delta_T)
     return 2.0 * fd_half - fd_full

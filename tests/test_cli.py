@@ -214,3 +214,32 @@ def test_check_corrupted_y0_surfaces_bracket_failure(capsys):
     code, out, _ = run(capsys, "check", "--samples", "4", "--y0", "1e-9")
     assert code == 3
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("T, H, name", [("0.03", "nan", "H"), ("inf", "0.01", "T")])
+def test_gap_non_finite_input_exits_1(capsys, T, H, name):
+    code, out, err = run(capsys, "gap", "--T", T, "--H", H)
+    assert code == 1 and out == ""
+    assert f"{name} must be finite" in err
+
+
+def test_sweep_entropy_matches_entropy_command(capsys, tmp_path):
+    # The sweep reuses its H_c row and computes dS_fd at the finite
+    # difference's own tolerance, exactly as `bcsfield entropy` does.
+    table = tmp_path / "dos.txt"
+    eps = [8.0 + 4.0 * k / 6 for k in range(7)]
+    table.write_text("".join(f"{e!r} {0.6 + 0.1 * k!r}\n" for k, e in enumerate(eps)))
+    dos = f"table:{table}"
+    code, out, _ = run(capsys, "entropy", "--T", "0.85tau1", "--dos", dos)
+    assert code == 0
+    single = parse_kv(out)
+    prefix = tmp_path / "s"
+    code, _, _ = run(capsys, "-o", str(prefix), "sweep", "--T-grid", "0.85tau1:0.9tau1:2",
+                     "--outputs", "entropy_curve", "--dos", dos)
+    assert code == 0
+    with open(tmp_path / "s_entropy.csv", newline="") as fh:
+        row = list(csv.reader(fh))[1]
+    assert float(row[0]) == float(single["T"])
+    assert float(row[1]) == float(single["H_c"])
+    assert float(row[2]) == float(single["dS_formula"])
+    assert float(row[3]) == float(single["dS_fd"])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcsfield import numerics
 from bcsfield.numerics import (
+    MAX_ACTIVE_PANELS,
     BracketError,
     NumericsError,
     QuadratureError,
@@ -14,7 +16,9 @@ from bcsfield.numerics import (
     RootSpec,
     central_diff,
     find_root_decreasing,
+    find_root_decreasing_many,
     integrate,
+    integrate_many,
 )
 from conftest import trapezoid
 
@@ -62,6 +66,12 @@ def test_degenerate_interval_is_zero():
 def test_reversed_bounds_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: x, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf)])
+def test_non_finite_bounds_rejected(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(lambda x: x, lo, hi)
 
 
 def test_depth_exhaustion_raises_with_worst_panel():
@@ -188,6 +198,11 @@ def test_max_iter_exhaustion():
         find_root_decreasing(lambda x: math.exp(-x) - 0.5, 0.0, 10.0, spec)
 
 
+def test_nan_function_exhausts_the_iterations():
+    with pytest.raises(NumericsError, match="iteration limit"):
+        find_root_decreasing(lambda x: math.nan, 0.0, 1.0, RootSpec(max_iter=8))
+
+
 def test_root_spec_validation():
     with pytest.raises(ValueError):
         RootSpec(x_tol=-1.0)
@@ -219,3 +234,107 @@ def test_central_diff_constant_zero():
 def test_central_diff_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         central_diff(math.sin, 0.0, 0.0)
+
+
+# ------------------------------------------------------------ batch paths
+
+
+def test_nan_integrand_fails_after_one_level():
+    f = Counter(lambda x: np.where(x > 0.5, np.nan, x))
+    with pytest.raises(QuadratureError, match="not finite") as err:
+        integrate(f, 0.0, 1.0)
+    assert f.calls == 1
+    assert (err.value.panel_lo, err.value.panel_hi) == (0.0, 1.0)
+
+
+def test_unconvergeable_integrand_stops_at_the_panel_cap():
+    # Far too oscillatory for the tolerance: every panel stays unconverged,
+    # so the panel count doubles per level until the cap, not max_depth.
+    f = Counter(lambda x: np.sin(1e6 * x))
+    with pytest.raises(QuadratureError, match="panels unconverged at depth 16"):
+        integrate(f, 0.0, 1.0)
+    assert f.points == 15 * (2 * MAX_ACTIVE_PANELS - 1)
+
+
+def test_many_kinks_in_one_interval_converge():
+    # A linear interpolant of 2001 knots has a kink at every knot, each
+    # unconverged for dozens of levels; its integral is the trapezoid sum.
+    knots = np.linspace(0.0, 1.0, 2001)
+    vals = np.cos(7.0 * knots) + knots * knots
+    value = integrate(lambda x: np.interp(x, knots, vals), 0.0, 1.0)
+    assert value == pytest.approx(trapezoid(vals, knots), rel=1e-10)
+
+
+def test_batch_over_the_panel_cap_is_refined_in_groups(monkeypatch):
+    # Each interval alone stays under a cap of 64 active panels, the batch
+    # does not: it is refined in groups, with every result unchanged.
+    knots = np.linspace(0.0, 4.0, 81)
+    vals = np.sin(3.0 * knots)
+
+    def f(x, owner):
+        return np.interp(x, knots, vals) * (1.0 + owner[:, None])
+
+    def levels(calls):
+        return lambda x, owner: calls.append(owner) or f(x, owner)
+
+    lo, hi = np.arange(4.0), np.arange(1.0, 5.0)
+    together, alone = [], []
+    whole, errors = integrate_many(levels(together), lo, hi)
+    assert not errors and max(owner.size for owner in together) > 64
+    monkeypatch.setattr(numerics, "MAX_ACTIVE_PANELS", 64)
+    grouped, errors = integrate_many(levels(alone), lo, hi)
+    assert not errors and np.array_equal(grouped, whole)
+    assert max(owner.size for owner in alone) <= 64
+
+
+def test_failed_interval_leaves_the_others_unchanged():
+    def f(x, owner):
+        return np.where(owner[:, None] == 1, np.nan, np.exp(-x * x))
+
+    values, errors = integrate_many(f, [0.0, 0.0, -1.0], [1.0, 2.0, 3.0])
+    assert list(errors) == [1] and isinstance(errors[1], QuadratureError)
+    assert math.isnan(values[1])
+    assert values[0] == integrate(lambda x: np.exp(-x * x), 0.0, 1.0)
+    assert values[2] == integrate(lambda x: np.exp(-x * x), -1.0, 3.0)
+
+
+def test_vector_integrand_meets_each_component_tolerance():
+    def f(x, owner):
+        return np.stack([np.cos(x), 1e-6 * np.exp(x)], axis=-1)
+
+    values, errors = integrate_many(f, [0.0], [2.0], QuadSpec(abs_tol=1e-15, rel_tol=1e-13))
+    assert not errors and values.shape == (1, 2)
+    assert values[0, 0] == pytest.approx(math.sin(2.0), rel=1e-13)
+    assert values[0, 1] == pytest.approx(1e-6 * (math.exp(2.0) - 1.0), rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    roots=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=6),
+    scale=st.floats(0.1, 10),
+)
+def test_lockstep_roots_take_the_scalar_iterates(roots, scale):
+    r = np.array(roots)
+
+    def g_many(x, idx):
+        d = x - r[idx]
+        return -scale * (d**3 + 0.2 * d), {}
+
+    spec = RootSpec(x_tol=1e-14, f_tol=1e-14)
+    batch = find_root_decreasing_many(g_many, -np.ones(r.size), np.ones(r.size), spec)
+    for root, got in zip(roots, batch):
+        alone = find_root_decreasing(
+            lambda x: -scale * ((x - root) ** 3 + 0.2 * (x - root)), -1.0, 1.0, spec)
+        assert got == alone
+
+
+def test_lockstep_failures_stay_per_function():
+    shift = np.array([0.5, -2.0, 3.0, 0.25])  # roots of shift - x on [0, 1]
+
+    def g_many(x, idx):
+        return shift[idx] - x, {}
+
+    out = find_root_decreasing_many(g_many, np.zeros(4), np.ones(4))
+    assert isinstance(out[1], RootBelowBracket)
+    assert isinstance(out[2], BracketError)
+    assert out[0].root == 0.5 and out[3].root == 0.25

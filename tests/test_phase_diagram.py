@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from bcsfield import (
     SweepResult,
     SweepSpec,
     dos_linear,
+    psi,
     run_sweep,
+    solve_gap_squared,
     write_csv,
 )
 
@@ -161,3 +164,31 @@ def test_csv_missing_directory(small_sweep, tmp_path):
     _, result = small_sweep
     with pytest.raises(FileNotFoundError):
         write_csv(result, tmp_path / "nope" / "prefix")
+
+
+def test_spec_rejects_non_finite_grids():
+    with pytest.raises(ValueError, match="T_grid max must be finite"):
+        SweepSpec(T_grid=(0.1, math.inf, 3))
+    with pytest.raises(ValueError, match="H_grid min must be finite"):
+        SweepSpec(T_grid=(0.1, 0.2, 3), H_grid=(math.nan, 0.1, 3))
+
+
+def test_failed_point_leaves_the_other_rows_unchanged(p, dbox):
+    # Y0 just below the largest squared gap of the grid fails that one point
+    # (1 of 12, inside the 10% budget) with a BracketError.
+    spec = SweepSpec(
+        T_grid=(dbox.T0, dbox.tau1, 3),
+        H_grid=(0.0, dbox.H_max, 4),
+        outputs=frozenset({"gap_surface", "psi_surface"}),
+    )
+    gaps = sorted(solve_gap_squared(dbox.T0, h, p, dbox).Y for h in (0.0, dbox.H_max / 3))
+    cut = DomainBox(T0=dbox.T0, tau1=dbox.tau1, H_max=dbox.H_max, Y0=0.5 * sum(gaps))
+    dos = dos_linear(1.0, 0.5)
+    result = run_sweep(spec, p, dos, cut)
+    assert result.failures == 1
+    assert result.gap_surface[0][4] == "ERR" and math.isnan(result.psi_surface[0][4])
+    for (T, H, Y, delta, state), (_, _, omega_s, omega_n, value) in zip(
+            result.gap_surface[1:], result.psi_surface[1:]):
+        tp = psi(T, H, p, dos, cut)
+        assert (Y, delta, state) == (tp.gap.Y, tp.gap.delta, "N" if tp.gap.boundary else "S")
+        assert (omega_s, omega_n, value) == (tp.omega_S, tp.omega_N, tp.psi)

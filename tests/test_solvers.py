@@ -1,7 +1,11 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsfield import (
     DomainBox,
@@ -11,13 +15,18 @@ from bcsfield import (
     StatePoint,
     build_curve,
     domain_from,
+    dos_linear,
+    psi,
     hc_slope_at_tc,
     implicit_partials,
     solve_gap_squared,
     solve_hc,
     solve_tau1,
 )
+from bcsfield.kernel import F_eval_many
 from bcsfield.numerics import BracketError, NumericsError, RootSpec
+from bcsfield.solvers import solve_gap_squared_many, solve_hc_many
+from bcsfield.thermo import psi_many
 
 
 # ------------------------------------------------------------------ tau1
@@ -272,3 +281,111 @@ def test_build_curve_endpoint_and_monotonicity(p, tau1, dbox):
 def test_build_curve_needs_two_points(p, dbox):
     with pytest.raises(ValueError):
         build_curve(p, dbox, 1)
+
+
+# ------------------------------------------------------- input validation
+
+
+@pytest.mark.parametrize("T, H, name", [
+    (0.03, math.nan, "H"), (0.03, math.inf, "H"), (math.inf, 0.01, "T"), (math.nan, 0.01, "T"),
+])
+def test_gap_rejects_non_finite_input(p, dbox, T, H, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        solve_gap_squared(T, H, p, dbox)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        solve_gap_squared_many([0.03, T], [0.0, H], p, dbox)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_hc_rejects_non_finite_temperature(p, dbox, T):
+    with pytest.raises(ValueError, match="^T must be finite"):
+        solve_hc(T, p, dbox)
+    with pytest.raises(ValueError, match="^T must be finite"):
+        solve_hc_many([0.03, T], p, dbox)
+
+
+def test_state_point_rejects_non_finite_input():
+    for args, name in (((math.nan, 0.0, 0.0), "T"), ((0.03, math.nan, 0.0), "H"),
+                       ((0.03, 0.0, math.inf), "Y")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            StatePoint(*args)
+
+
+# ------------------------------------------------------- domain warnings
+
+
+def test_domain_warnings_do_not_grow_the_registry(p, dbox):
+    # One fixed text per condition: the warning registry of the calling
+    # module keeps one entry per condition, however many distinct states warn.
+    registry = globals().setdefault("__warningregistry__", {})
+    sizes = []
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("default", DomainWarning)
+        for k in range(11):
+            T = (0.99 - 0.001 * k) * dbox.T0
+            solve_gap_squared(T, (1.3 + 0.01 * k) * T / p.mu_B, p, dbox)
+            sizes.append(len(registry))
+    assert sizes == [sizes[0]] * 11
+
+
+def test_domain_warning_carries_the_state(p, dbox):
+    T, H = 0.99 * dbox.T0, 1.3 * dbox.T0 / p.mu_B
+    with pytest.warns(DomainWarning) as record:
+        solve_gap_squared(T, H, p, dbox)
+    texts = sorted(str(w.message) for w in record)
+    assert texts == ["T below the box lower bound T0",
+                     "mu_B H / T > 1.24: outside the monotonicity guarantee zone"]
+    for w in record:
+        assert (w.message.T, w.message.H, w.message.T0) == (T, H, dbox.T0)
+        assert w.message.z == p.mu_B * H / T
+
+
+def test_domain_warning_works_as_a_plain_category_and_pickles():
+    with pytest.warns(DomainWarning, match="^custom$") as record:
+        warnings.warn("custom", DomainWarning)
+    assert math.isnan(record[0].message.T)
+    copy = pickle.loads(pickle.dumps(DomainWarning("text", 0.1, 0.2, 2.0, 0.05)))
+    assert (str(copy), copy.T, copy.H, copy.z, copy.T0) == ("text", 0.1, 0.2, 2.0, 0.05)
+
+
+# ------------------------------------------------------------ batch paths
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=1, max_size=4))
+def test_batched_solvers_match_scalar_calls(p, dbox, fracs):
+    T = [dbox.T0 + u * (dbox.tau1 - dbox.T0) for u, _, _ in fracs]
+    H = [v * dbox.H_max for _, v, _ in fracs]
+    Y = [w * dbox.Y0 for _, _, w in fracs]
+    dos = dos_linear(1.0, 0.5)
+    values, errors = F_eval_many(T, H, Y, p)
+    assert not errors
+    for t, h, y, f in zip(T, H, Y, values):
+        assert f == F_eval(StatePoint(t, h, y), p)
+    for t, hc in zip(T, solve_hc_many(T, p, dbox)):
+        assert hc == solve_hc(t, p, dbox)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        gaps = solve_gap_squared_many(T, H, p, dbox)
+        points = psi_many(T, H, p, dos, dbox)
+        for t, h, gap, tp in zip(T, H, gaps, points):
+            assert gap == solve_gap_squared(t, h, p, dbox)
+            one = psi(t, h, p, dos, dbox)
+            assert (tp.omega_S, tp.omega_N, tp.psi) == (one.omega_S, one.omega_N, one.psi)
+            assert tp.gap == gap
+
+
+def test_failed_state_leaves_its_neighbours_unchanged(p, tau1, dbox):
+    # Y0 below the squared gap at (T0, 0) forces a BracketError there alone.
+    T = [dbox.T0, 0.9 * tau1, 0.97 * tau1]
+    H = [0.0, 0.0, 0.002]
+    y_cut = 0.5 * (solve_gap_squared(T[0], 0.0, p, dbox).Y + solve_gap_squared(T[1], 0.0, p, dbox).Y)
+    cut = DomainBox(T0=dbox.T0, tau1=tau1, H_max=dbox.H_max, Y0=y_cut)
+    gaps = solve_gap_squared_many(T, H, p, cut)
+    assert isinstance(gaps[0], BracketError)
+    for t, h, gap in zip(T[1:], H[1:], gaps[1:]):
+        assert gap == solve_gap_squared(t, h, p, cut)
+    points = psi_many(T, H, p, dos_linear(1.0, 0.5), cut)
+    assert isinstance(points[0], BracketError)
+    assert [tp.gap for tp in points[1:]] == gaps[1:]

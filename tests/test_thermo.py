@@ -19,7 +19,15 @@ from bcsfield import (
     psi,
     solve_hc,
 )
-from bcsfield.thermo import _bracket_dn, _bracket_up
+from bcsfield.thermo import _bracket
+
+
+def _bracket_up(xi, T, Y, s, h):
+    return _bracket(xi, T, Y, s, h, 1.0)
+
+
+def _bracket_dn(xi, T, Y, s, h):
+    return _bracket(xi, T, Y, s, h, -1.0)
 
 
 def zero_gap(T, H):
@@ -280,3 +288,33 @@ def test_tabulated_dos_out_of_support_error(p, dbox):
     narrow = dos_tabulated(np.array([p.mu - 0.5, p.mu + 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="outside"):
         entropy_gap(dbox.T0, p, narrow, dbox)
+
+
+def _omega_knot_by_knot(T, H, Y, p, dos):
+    """Grand potential integrated piece by piece between the table's knots."""
+    s, h, w = p.a * H + p.b * H * H, p.mu_B * H, p.hbar_omega_D
+    total = 0.0
+    for spin in (1.0, -1.0):
+        lo, hi = -w - s - spin * h, w - s - spin * h
+        cuts = np.unique(np.concatenate([[lo, -s, hi], dos.table[0] - p.mu]))
+        cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += integrate(
+                lambda xi: dos_eval(dos, xi + p.mu, p) * _bracket(xi, T, Y, s, h, spin), a, b)
+    return 0.5 * total
+
+
+def test_densely_tabulated_dos(p, tau1, dbox):
+    # 601 knots over mu +/- 2 hbar_omega_D: about 150 kinks in every piece of
+    # every spin window, integrated whole by the adaptive quadrature.
+    x = np.linspace(-2.0, 2.0, 601)
+    dos = dos_tabulated(p.mu + x, 1.0 + 0.3 * x + 0.05 * x * x + 0.01 * np.sin(9.0 * x))
+    assert dos.monotone_increasing
+    T = 0.9 * tau1
+    tp = psi(T, 0.5 * solve_hc(T, p, dbox), p, dos, dbox)
+    assert tp.psi < 0.0
+    assert tp.omega_S == pytest.approx(_omega_knot_by_knot(T, tp.H, tp.gap.Y, p, dos), rel=1e-9)
+    assert tp.omega_N == pytest.approx(_omega_knot_by_knot(T, tp.H, 0.0, p, dos), rel=1e-9)
+    ds = entropy_gap(dbox.T0, p, dos, dbox)
+    assert ds < 0.0
+    assert entropy_gap_fd(dbox.T0, p, dos, dbox) == pytest.approx(ds, rel=0.05)
