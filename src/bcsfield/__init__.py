@@ -52,11 +52,9 @@ from .params import (
 )
 from .phase_diagram import SweepError, SweepResult, SweepSpec, run_sweep, write_csv
 from .solvers import (
-    CriticalFieldCurve,
     DomainWarning,
     GapSolution,
     SingularDerivativeError,
-    build_curve,
     hc_slope_at_tc,
     implicit_partials,
     solve_gap_squared,

@@ -16,16 +16,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import F_eval, F_partials, StatePoint, fermi, thermal_weight
 from .numerics import NumericsError, QuadSpec, RootSpec, unwrap
-from .params import Z_CAP, DomainBox, MaterialParams, default_params, domain_from, load_params, validate
+from .params import Z_CAP, DomainBox, MaterialParams, domain_from, load_params, validate
 from .phase_diagram import OUTPUT_KINDS, SweepError, SweepResult, SweepSpec, run_sweep, write_csv
 from .solvers import (
-    build_curve,
     hc_slope_at_tc,
     solve_gap_squared,
     solve_hc,
@@ -59,7 +58,6 @@ class CliConfig:
     t0_spec: str
     output: str
     as_json: bool
-    verbose: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +83,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--f-tol", type=float, default=1e-10, help="root residual tolerance")
     parser.add_argument("--T0", default="0.8tau1", help="box lower temperature (number or fraction like 0.8tau1)")
     parser.add_argument("-o", "--output", default="bcsfield", help="output file prefix for CSV-writing commands")
-    parser.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("tc", help="transition temperature at zero field")
@@ -126,16 +123,6 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
         except ValueError:
             raise ValueError(f"--set {key.strip()}: non-numeric value {value!r}") from None
     return overrides
-
-
-def _resolve_params(args) -> MaterialParams:
-    overrides = _parse_overrides(args.overrides)
-    if args.params is not None:
-        return load_params(args.params, overrides)
-    unknown = set(overrides) - {f for f in MaterialParams.__dataclass_fields__}
-    if unknown:
-        raise ValueError(f"unknown parameter override(s): {sorted(unknown)}")
-    return validate(replace(default_params(), **overrides))
 
 
 def _parse_temperature(text: str, tau1: float) -> float:
@@ -209,18 +196,20 @@ def _cmd_gap(config: CliConfig, args) -> int:
 
 
 def _cmd_hc(config: CliConfig, args) -> int:
+    if args.n < 2:
+        raise ValueError(f"need n >= 2 grid points, got {args.n!r}")
     p = config.params
     tau1 = solve_tau1(p, config.root, config.quad)
     dbox = _box(config, tau1)
-    curve = build_curve(p, dbox, args.n, config.root, config.quad)
-    result = SweepResult(hc_curve=[(t, h) for t, h in curve.samples])
-    paths = write_csv(result, config.output)
+    grid = np.linspace(dbox.T0, tau1, args.n).tolist()
+    hcs = [unwrap(hc) for hc in solve_hc_many(grid, p, dbox, config.root, config.quad)]
+    paths = write_csv(SweepResult(hc_curve=list(zip(grid, hcs))), config.output)
     _emit(config, {
         "file": str(paths[0]),
-        "n": len(curve.samples),
-        "tau1": curve.tau1,
-        "slope_at_tau1": curve.slope_at_tau1,
-        "hc_at_T0": curve.samples[0][1],
+        "n": len(hcs),
+        "tau1": tau1,
+        "slope_at_tau1": hc_slope_at_tc(p, config.root, config.quad, tau1=tau1),
+        "hc_at_T0": hcs[0],
     })
     return 0
 
@@ -353,12 +342,11 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
         "1 + cosh z cosh z1 - z1 sinh z1 sinh(z)/z > 0 for z1 <= 1.24", True, ok)
 
     try:
-        hc0 = solve_hc(dbox.T0, p, dbox, root, quad)
         grid = np.linspace(dbox.T0, tau1, 10)
         hcs = [unwrap(hc) for hc in solve_hc_many(grid, p, dbox, root, quad)]
         ok = all(b <= a + root.x_tol for a, b in zip(hcs, hcs[1:])) and hcs[-1] == 0.0
         add("hc-curve", "H_c nonincreasing, H_c(tau1) = 0", True, ok,
-            f"H_c(T0) = {hc0:.6g}")
+            f"H_c(T0) = {hcs[0]:.6g}")
         mid_T = 0.5 * (dbox.T0 + tau1)
         gap_at_hc = solve_gap_squared(mid_T, solve_hc(mid_T, p, dbox, root, quad), p, dbox, root, quad)
         add("gap-hc-consistency", "gap vanishes on the critical curve", True,
@@ -432,12 +420,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        params = _resolve_params(args)
+        params = load_params(args.params, _parse_overrides(args.overrides))
         quad = QuadSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
         root = RootSpec(x_tol=args.x_tol, f_tol=args.f_tol)
         config = CliConfig(
             params=params, quad=quad, root=root, t0_spec=args.T0,
-            output=args.output, as_json=args.json, verbose=args.verbose,
+            output=args.output, as_json=args.json,
         )
     except (OSError, ValueError) as exc:
         print(f"bcsfield: config error: {exc}", file=sys.stderr)

@@ -15,9 +15,10 @@ is the root in T at H = Y = 0.
 
 Every function here is pure, accepts numpy arrays for the energy-like
 argument (and arrays of states that broadcast against it), and is
-overflow-safe for arbitrarily small temperatures: large arguments switch to
-Fermi-function / exponential forms, and the removable singularities at
-E -> 0 get explicit limit branches.  ``F_eval_many`` and ``F_partials_many``
+overflow-safe for arbitrarily small temperatures: the thermal weight is
+written with no positive exponent that can overflow, the derivatives in
+Fermi-function forms, and the removable singularities at E -> 0 get explicit
+limit branches.  ``F_eval_many`` and ``F_partials_many``
 integrate a whole batch of states in one breadth-first quadrature; the
 scalar ``F_eval`` and ``F_partials`` are their batch-of-one cases.
 """
@@ -46,11 +47,6 @@ __all__ = [
     "F_partials",
     "F_partials_many",
 ]
-
-# Above this value of E/T (or mu_B H / T) the sinh/cosh weight is evaluated
-# in the two-Fermi-function form; e^30 already saturates the ratios to 1
-# within ~1e-13, and the forms agree through the crossover band.
-FERMI_FORM_CUT = 30.0
 
 # E below 1e-8 * max(T, hbar_omega_D) takes the removable-limit branch of J.
 SINGULAR_E_FRACTION = 1e-8
@@ -114,40 +110,26 @@ def quasiparticle_energy(xi, H: float, Y: float, p: MaterialParams):
 def _weight(z, z1: float):
     """sinh(z) / (cosh(z) + cosh(z1)) for z = E/T, z1 = mu_B H / T >= 0.
 
-    Direct evaluation while both arguments stay below FERMI_FORM_CUT; the
-    identity 1 - fermi(z + z1) - fermi(z - z1) beyond.  In the deep Zeeman
-    tail z < z1 that identity is itself evaluated through the factored form
+    Numerator and denominator are divided by e^z:
 
-        e^(z - z1) (1 - e^(-2z)) / (1 + e^(-2 z1) + e^(z - z1) (1 + e^(-2z)))
+        (1 - e^(-2z)) / (1 + e^(-2z) + e^(z1 - z) (1 + e^(-2 z1))),
 
-    (every exponent <= 0), which keeps relative accuracy of the
-    exponentially small weight instead of cancelling it away.  All branches
-    are the same function; they only trade rounding behavior.
+    with 1 - e^(-2z) taken from expm1.  No term can overflow, nothing
+    cancels, and the exponentially small weight of the deep Zeeman tail
+    z << z1 keeps its relative accuracy.  The exponent z1 - z is capped at
+    700, where the weight is below 1e-304 anyway.
     """
     z = np.asarray(z, dtype=float)
-    use_direct = (z <= FERMI_FORM_CUT) & (z1 <= FERMI_FORM_CUT)
-    zc = np.minimum(z, FERMI_FORM_CUT)
-    out = np.sinh(zc) / (np.cosh(zc) + np.cosh(np.minimum(z1, FERMI_FORM_CUT)))
-    # Each branch is evaluated only where some element takes it.
-    if use_direct.all():
-        return out
-    out = np.where(use_direct, out, 1.0 - fermi(z + z1) - fermi(z - z1))
-    deep = ~use_direct & (z <= z1)
-    if deep.any():
-        ezz = np.exp(np.minimum(z - z1, 0.0))
-        e2z = np.exp(-2.0 * z)
-        tail = ezz * (1.0 - e2z) / (1.0 + np.exp(-2.0 * z1) + ezz * (1.0 + e2z))
-        out = np.where(deep, tail, out)
-    return out
+    c = np.expm1(-2.0 * z)
+    return -c / (2.0 + c + np.exp(np.minimum(z1 - z, 700.0)) * (1.0 + np.exp(-2.0 * z1)))
 
 
 def thermal_weight(T: float, E, H: float, p: MaterialParams):
     """Thermal pair-breaking weight sinh(E/T) / (cosh(E/T) + cosh(mu_B H/T)).
 
-    Large arguments (E/T or mu_B H/T above FERMI_FORM_CUT) are evaluated in
-    the algebraically identical, overflow-safe Fermi form
-    ``1 - fermi((E + mu_B H)/T) - fermi((E - mu_B H)/T)``.
-    The value lies in [0, 1).
+    Evaluated in one exponent-safe form (see ``_weight``) that is finite
+    and accurate for any E >= 0, H >= 0 and T > 0.  The value lies in
+    [0, 1); it rounds to 1.0 where 1 - w is below double resolution.
     """
     if not T > 0:
         raise ValueError(f"T must be > 0, got {T!r}")
@@ -217,11 +199,6 @@ def F_eval(s: StatePoint, p: MaterialParams, quad: QuadSpec | None = None) -> fl
     return float(first(*F_eval_many(s.T, s.H, s.Y, p, quad)))
 
 
-def _r_pair(z, z1: float):
-    """r(z + z1) and r(z - z1) with r(u) = 1/(1 + cosh u) = 2 fermi_delta(u)."""
-    return 2.0 * fermi_delta(z + z1), 2.0 * fermi_delta(z - z1)
-
-
 def _r_r_cosh(z, z1: float):
     """r(z + z1) * r(z - z1) * cosh(z1), factored to avoid overflow in cosh.
 
@@ -235,86 +212,56 @@ def _r_r_cosh(z, z1: float):
     return 2.0 * e0 * (1.0 + np.exp(-2.0 * z1)) / ((1.0 + ea) ** 2 * (1.0 + eb) ** 2)
 
 
-def _dJ_dT(T: float, H: float, Y: float, xi, p: MaterialParams):
-    """Pointwise dJ/dT.  Exact rewriting of
-    -(1 + cosh z cosh z1 - z1 sinh z1 sinh(z)/z) / (T^2 (cosh z + cosh z1)^2)
-    in terms of r(u) = 1/(1 + cosh u), which stays bounded for any argument.
+def _dJ_all(T, H, Y, xi, p: MaterialParams):
+    """Pointwise (dJ/dT, dJ/dH, dJ/dY) on one trailing axis.
+
+    With z = E/T, z1 = mu_B H / T and r(u) = 1/(1 + cosh u) = 2 fermi_delta(u),
+    which stays bounded for any argument:
+
+    * dJ/dT is the exact rewriting of
+      -(1 + cosh z cosh z1 - z1 sinh z1 sinh(z)/z) / (T^2 (cosh z + cosh z1)^2)
+      in r(z + z1), r(z - z1), with its E -> 0 limit below z = _Z_LIMIT.
+    * dJ/dY = (r(z+z1) + r(z-z1)) / (4 T E^2) - w / (2 E^3).  The two terms
+      cancel to O(E^3) as E -> 0, so below z = _Z_SERIES the equivalent
+      series form -(A(z) r(z+z1) r(z-z1) - B(z) r r cosh(z1)) / (2 T^3) is
+      used, whose coefficients come from the Taylor expansion of
+      cosh(z1)(sinh z - z cosh z) + sinh z cosh z - z over z^3.
+    * dJ/dH at fixed (T, Y) is the orbital shift channel
+      2 eta (a + 2 b H) dJ/dY plus the Zeeman channel
+      mu_B dJ/d(mu_B H) = mu_B (r(z+z1) - r(z-z1)) / (2 T E).
     """
-    xi = np.asarray(xi, dtype=float)
-    E = np.asarray(quasiparticle_energy(xi, H, Y, p))
+    eta = np.asarray(xi, dtype=float) + _shift(H, p)
+    E = np.sqrt(eta * eta + Y)
     z = E / T
     z1 = p.mu_B * H / T
-    rp, rm = _r_pair(z, z1)
+    rp = 2.0 * fermi_delta(z + z1)
+    rm = 2.0 * fermi_delta(z - z1)
     r1 = 2.0 * fermi_delta(z1)
+    above_limit = z > _Z_LIMIT
 
-    z_safe = np.where(z > _Z_LIMIT, z, 1.0)
+    z_safe = np.where(above_limit, z, 1.0)
     bracket = (
         rp * rm
         + 0.5 * ((1.0 - rp) * rm + (1.0 - rm) * rp)
         - (z1 / z_safe) * 0.5 * (rm - rp)
     )
     limit = r1 * (1.0 - z1 * np.tanh(0.5 * z1))
-    out = -np.where(z > _Z_LIMIT, bracket, limit) / (T * T)
-    return float(out) if out.ndim == 0 else out
-
-
-def _dJ_dY(T: float, H: float, Y: float, xi, p: MaterialParams):
-    """Pointwise dJ/dY = (r(z+z1) + r(z-z1)) / (4 T E^2) - w / (2 E^3).
-
-    The two terms cancel to O(E^3) as E -> 0, so below z = E/T = 0.1 the
-    equivalent series form
-    -(A(z) r(z+z1) r(z-z1) - B(z) r r cosh(z1)) / (2 T^3) is used, whose
-    coefficients come from the Taylor expansion of
-    cosh(z1)(sinh z - z cosh z) + sinh z cosh z - z over z^3.
-    """
-    xi = np.asarray(xi, dtype=float)
-    E = np.asarray(quasiparticle_energy(xi, H, Y, p))
-    z = E / T
-    z1 = p.mu_B * H / T
-    rp, rm = _r_pair(z, z1)
+    dT = -np.where(above_limit, bracket, limit) / (T * T)
 
     big = z >= _Z_SERIES
     E_safe = np.where(big, E, 1.0)
-    w = np.asarray(_weight(np.where(big, z, 1.0), z1))
+    w = _weight(np.where(big, z, 1.0), z1)
     direct = (rp + rm) / (4.0 * T * E_safe * E_safe) - w / (2.0 * E_safe**3)
-
     z2 = z * z
     series_a = 2.0 / 3.0 + z2 * (2.0 / 15.0 + z2 * (4.0 / 315.0 + z2 * (2.0 / 2835.0)))
     series_b = 1.0 / 3.0 + z2 * (1.0 / 30.0 + z2 * (1.0 / 840.0 + z2 * (1.0 / 45360.0)))
     series = -(series_a * rp * rm - series_b * _r_r_cosh(z, z1)) / (2.0 * T**3)
+    dY = np.where(big, direct, series)
 
-    out = np.where(big, direct, series)
-    return float(out) if out.ndim == 0 else out
-
-
-def _dJ_dh(T: float, H: float, Y: float, xi, p: MaterialParams):
-    """Pointwise dJ/d(mu_B H) = (r(z+z1) - r(z-z1)) / (2 T E)."""
-    xi = np.asarray(xi, dtype=float)
-    E = np.asarray(quasiparticle_energy(xi, H, Y, p))
-    z = E / T
-    z1 = p.mu_B * H / T
-    rp, rm = _r_pair(z, z1)
-    E_safe = np.where(z > _Z_LIMIT, E, 1.0)
-    direct = (rp - rm) / (2.0 * T * E_safe)
-    limit = -np.tanh(0.5 * z1) * 2.0 * fermi_delta(z1) / (T * T)
-    out = np.where(z > _Z_LIMIT, direct, limit)
-    return float(out) if out.ndim == 0 else out
-
-
-def _dJ_dH(T: float, H: float, Y: float, xi, p: MaterialParams):
-    """Pointwise dJ/dH at fixed (T, Y): orbital shift channel plus Zeeman."""
-    xi = np.asarray(xi, dtype=float)
-    eta = xi + _shift(H, p)
-    orbital = 2.0 * eta * (p.a + 2.0 * p.b * H) * np.asarray(_dJ_dY(T, H, Y, xi, p))
-    zeeman = p.mu_B * np.asarray(_dJ_dh(T, H, Y, xi, p))
-    out = orbital + zeeman
-    return float(out) if out.ndim == 0 else out
-
-
-def _dJ_all(T, H, Y, xi, p: MaterialParams):
-    """Pointwise (dJ/dT, dJ/dH, dJ/dY) on one trailing axis."""
-    return np.stack([_dJ_dT(T, H, Y, xi, p), _dJ_dH(T, H, Y, xi, p), _dJ_dY(T, H, Y, xi, p)],
-                    axis=-1)
+    E_safe = np.where(above_limit, E, 1.0)
+    dh = np.where(above_limit, (rp - rm) / (2.0 * T * E_safe), -np.tanh(0.5 * z1) * r1 / (T * T))
+    dH = 2.0 * eta * (p.a + 2.0 * p.b * H) * dY + p.mu_B * dh
+    return np.stack([dT, dH, dY], axis=-1)
 
 
 def F_partials_many(

@@ -80,13 +80,21 @@ class RootBelowBracket(NumericsError):
         self.value = value
 
 
+# The smallest relative quadrature tolerance a double can meet: the F and
+# psi integrals on the working box converge at 1e-15, while at 5e-16 many F
+# and nearly all psi integrals refine until they fail.
+MIN_REL_TOL = 1e-15
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerances and depth limit for adaptive quadrature.
 
     The returned estimate satisfies
     ``error <= max(abs_tol, rel_tol * |estimate|)`` whenever the integrator
-    returns without raising.
+    returns without raising.  ``rel_tol`` must be at least
+    ``MIN_REL_TOL``: below it the Kronrod-Gauss differences are rounding
+    noise of the panel sums, and refinement runs to the panel cap and fails.
     """
 
     abs_tol: float = 1e-10
@@ -96,6 +104,10 @@ class QuadSpec:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("quadrature tolerances must be > 0")
+        if self.rel_tol < MIN_REL_TOL:
+            raise ValueError(
+                f"rel_tol must be >= {MIN_REL_TOL:g} (double precision), got {self.rel_tol!r}"
+            )
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 

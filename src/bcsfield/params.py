@@ -90,18 +90,21 @@ def default_params() -> MaterialParams:
     return MaterialParams()
 
 
-def load_params(path: str | Path, overrides: dict[str, float] | None = None) -> MaterialParams:
-    """Load parameters from a plain-text config file.
+def load_params(
+    path: str | Path | None = None, overrides: dict[str, float] | None = None
+) -> MaterialParams:
+    """Load parameters from a plain-text config file, or the defaults.
 
     Format: one ``key = value`` per line, ``#`` starts a comment, blank lines
     ignored.  Keys must be among the :class:`MaterialParams` field names;
-    unknown keys are errors.  Keys absent from the file keep their defaults.
-    ``overrides`` (e.g. from a command line) are applied after the file and
-    win over it.
+    unknown keys are errors.  Keys absent from the file keep their defaults;
+    ``path=None`` reads no file.  ``overrides`` (e.g. from a command line)
+    are applied after the file and win over it; unknown override keys are
+    errors too.
     """
     known = {f.name for f in fields(MaterialParams)}
     values: dict[str, float] = {}
-    text = Path(path).read_text()
+    text = "" if path is None else Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -40,7 +40,11 @@ _FAILURE_BUDGET = 0.10
 
 
 class SweepError(NumericsError):
-    """Too many per-point failures for the sweep to be meaningful."""
+    """Too many per-point failures for the sweep to be meaningful.
+
+    The message ends with the first failed point's T (and H, for gap and
+    psi points) and the error that failed it.
+    """
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ def run_sweep(
         )
     t_values = [float(t) for t in np.linspace(t_lo, t_hi, t_n)]
     result = SweepResult()
-    failures = 0
+    failed: list[tuple[float, float | None, NumericsError]] = []  # (T, H, error)
     points = 0
     hcs = solve_hc_many(t_values, p, dbox, root, quad) if needs_hc else []
 
@@ -127,7 +131,7 @@ def run_sweep(
         for T, hc in zip(t_values, hcs):
             points += 1
             if isinstance(hc, NumericsError):
-                failures += 1
+                failed.append((T, None, hc))
                 hc = math.nan
             rows.append((T, hc))
         result.hc_curve = rows
@@ -144,8 +148,8 @@ def run_sweep(
                     entropy_gap(T, p, dos, dbox, root, quad, hc=hc),
                     entropy_gap_fd(T, p, dos, dbox, root, hc=hc),
                 ))
-            except NumericsError:
-                failures += 1
+            except NumericsError as exc:
+                failed.append((T, None, exc))
                 rows.append((T, math.nan, math.nan, math.nan))
         result.entropy_curve = rows
 
@@ -173,7 +177,7 @@ def run_sweep(
         for (T, H), r in zip(states, solved):
             points += 1
             if isinstance(r, NumericsError):
-                failures += 1
+                failed.append((T, H, r))
                 gap_rows.append((T, H, math.nan, math.nan, "ERR"))
                 psi_rows.append((T, H, math.nan, math.nan, math.nan))
                 continue
@@ -186,11 +190,14 @@ def run_sweep(
         if wants_psi:
             result.psi_surface = psi_rows
 
-    result.failures = failures
+    result.failures = len(failed)
     result.points = points
-    if points and failures > _FAILURE_BUDGET * points:
+    if points and len(failed) > _FAILURE_BUDGET * points:
+        T, H, exc = failed[0]
+        where = f"T = {T:.6g}" if H is None else f"T = {T:.6g}, H = {H:.6g}"
         raise SweepError(
-            f"{failures}/{points} grid points failed (> {_FAILURE_BUDGET:.0%} budget)"
+            f"{len(failed)}/{points} grid points failed (> {_FAILURE_BUDGET:.0%} budget); "
+            f"first at {where}: {exc}"
         )
     return result
 

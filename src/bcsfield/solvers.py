@@ -10,8 +10,7 @@ box, every quantity of interest is the unique root of F along one axis:
 * ``solve_gap_squared`` -- squared gap f(T, H), root in Y;
 * ``implicit_partials`` -- df/dT and df/dH by implicit differentiation;
 * ``hc_slope_at_tc``    -- closed-form slope of the critical-field curve at
-                           the transition temperature;
-* ``build_curve``       -- sampled critical-field curve.
+                           the transition temperature.
 
 ``solve_hc_many`` and ``solve_gap_squared_many`` solve a whole batch of
 states with one lockstep root iteration over batched evaluations of F; a
@@ -44,7 +43,6 @@ from .params import Z_CAP, DomainBox, MaterialParams, check_arg, validate
 
 __all__ = [
     "GapSolution",
-    "CriticalFieldCurve",
     "DomainWarning",
     "SingularDerivativeError",
     "solve_tau1",
@@ -54,7 +52,6 @@ __all__ = [
     "solve_hc_many",
     "implicit_partials",
     "hc_slope_at_tc",
-    "build_curve",
 ]
 
 
@@ -102,15 +99,6 @@ class GapSolution:
     residual: float
     iterations: int
     boundary: bool
-
-
-@dataclass(frozen=True)
-class CriticalFieldCurve:
-    """Sampled critical-field curve H_c(T) on [T0, tau1]."""
-
-    tau1: float
-    samples: list[tuple[float, float]]
-    slope_at_tau1: float
 
 
 _EXPANSION_LIMIT = 60
@@ -349,24 +337,3 @@ def hc_slope_at_tc(
     den = integrate(den_integrand, -w, w, quad)
     return -num / (p.a * tau1 * den)
 
-
-def build_curve(
-    p: MaterialParams,
-    dbox: DomainBox,
-    n: int,
-    spec: RootSpec | None = None,
-    quad: QuadSpec | None = None,
-) -> CriticalFieldCurve:
-    """Sample H_c(T) on a uniform n-point grid over [T0, tau1].
-
-    Points are independent solves (monotonicity makes warm starts
-    unnecessary), so the samples may be computed in any order; they are
-    returned ordered by T.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2 grid points, got {n!r}")
-    grid = np.linspace(dbox.T0, dbox.tau1, n)
-    hcs = solve_hc_many(grid, p, dbox, spec, quad)
-    samples = [(float(T), unwrap(hc)) for T, hc in zip(grid, hcs)]
-    slope = hc_slope_at_tc(p, spec, quad, tau1=dbox.tau1)
-    return CriticalFieldCurve(tau1=dbox.tau1, samples=samples, slope_at_tau1=slope)

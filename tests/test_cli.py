@@ -58,6 +58,12 @@ def test_unknown_override_exits_1(capsys):
     assert "unknown parameter" in err
 
 
+def test_tolerance_below_double_precision_exits_1(capsys):
+    code, out, err = run(capsys, "--abs-tol", "1e-20", "--rel-tol", "1e-20", "tc")
+    assert code == 1 and out == ""
+    assert "config error" in err and "rel_tol" in err
+
+
 def test_bad_usage_exits_1(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
@@ -107,6 +113,48 @@ def test_hc_numerical_failure_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "raise T0" in err
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_hc_two_points_are_the_box_endpoints(capsys, tmp_path):
+    code, out, _ = run(capsys, "-o", str(tmp_path / "run"), "hc", "-n", "2")
+    assert code == 0
+    tau1 = float(parse_kv(out)["tau1"])
+    rows = read_csv(tmp_path / "run_hc.csv")[1:]
+    assert [float(t) for t, _ in rows] == [0.8 * tau1, tau1]
+
+
+def test_hc_curve_is_nonincreasing_and_vanishes_at_tau1(capsys, tmp_path):
+    code, out, _ = run(capsys, "-o", str(tmp_path / "run"), "hc", "-n", "12")
+    assert code == 0
+    rows = read_csv(tmp_path / "run_hc.csv")[1:]
+    temps = [float(t) for t, _ in rows]
+    fields = [float(h) for _, h in rows]
+    assert temps == sorted(temps) and len(set(temps)) == len(temps)
+    assert fields[-1] == 0.0
+    assert all(b <= a for a, b in zip(fields, fields[1:]))
+    assert float(parse_kv(out)["hc_at_T0"]) == fields[0]
+    assert float(parse_kv(out)["slope_at_tau1"]) < 0
+
+
+def test_hc_needs_two_points(capsys, tmp_path):
+    code, _, err = run(capsys, "-o", str(tmp_path / "run"), "hc", "-n", "1")
+    assert code == 1
+    assert "n >= 2" in err
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_hc_csv_equals_hc_curve_sweep(capsys, tmp_path, n):
+    code, _, _ = run(capsys, "-o", str(tmp_path / "hc"), "hc", "-n", str(n))
+    assert code == 0
+    code, _, _ = run(capsys, "-o", str(tmp_path / "sweep"), "sweep",
+                     "--T-grid", f"0.8tau1:1tau1:{n}", "--outputs", "hc_curve")
+    assert code == 0
+    assert (tmp_path / "hc_hc.csv").read_bytes() == (tmp_path / "sweep_hc.csv").read_bytes()
 
 
 def test_hc_writes_csv(capsys, tmp_path):
@@ -176,6 +224,16 @@ def test_sweep_writes_files_and_is_deterministic(capsys, tmp_path):
         a = (tmp_path / f"s1_{name}.csv").read_bytes()
         b = (tmp_path / f"s2_{name}.csv").read_bytes()
         assert a == b
+
+
+def test_failed_sweep_reports_the_first_failure(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "-o", str(tmp_path / "x"), "--T0", "0.5tau1",
+        "sweep", "--T-grid", "0.5tau1:1tau1:3", "--outputs", "hc_curve",
+    )
+    assert code == 2
+    assert "2/3 grid points failed" in err
+    assert "raise T0" in err
 
 
 def test_sweep_bad_grid_exits_1(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,14 @@ from bcsfield import (
     quasiparticle_energy,
     thermal_weight,
 )
-from bcsfield.kernel import _dJ_dH, _dJ_dT, _dJ_dY, _Z_LIMIT, _Z_SERIES
+from bcsfield.kernel import _dJ_all, _Z_LIMIT, _Z_SERIES
+
+
+def _dJ_column(k):
+    return lambda T, H, Y, xi, p: _dJ_all(T, H, Y, xi, p)[..., k]
+
+
+_dJ_dT, _dJ_dH, _dJ_dY = (_dJ_column(k) for k in range(3))
 
 
 def interior_points(dbox, rng, n, h_lo=1e-4):
@@ -83,8 +92,8 @@ def test_weight_range(rng):
 
 
 def test_weight_identity_both_forms(rng):
-    # sinh/cosh form versus the two-Fermi-function identity, across the
-    # overflow crossover at E/T = 30.
+    # The weight versus the two-Fermi-function identity
+    # 1 - fermi(z + z1) - fermi(z - z1), well past where cosh(z) overflows.
     p = MaterialParams()
     for _ in range(1000):
         z = 10 ** rng.uniform(-3, math.log10(600.0))
@@ -96,12 +105,56 @@ def test_weight_identity_both_forms(rng):
 
 
 def test_weight_crossover_band_is_smooth():
-    # Direct and Fermi branches agree to near machine precision where both
-    # are representable, in particular across the z = 30 switch.
+    # The weight agrees with the direct sinh/cosh quotient to near machine
+    # precision where that quotient is representable, here around z = 30.
     p = MaterialParams()
     for z in np.linspace(29.9, 30.1, 41):
         direct = math.sinh(z) / (math.cosh(z) + math.cosh(0.7))
         assert thermal_weight(1.0, z, 0.7, p) == pytest.approx(direct, rel=1e-13)
+
+
+def _weight_reference(z: float, z1: float) -> float:
+    """sinh z / (cosh z + cosh z1) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ez, ez1 = Decimal(z).exp(), Decimal(z1).exp()
+        return float((ez - 1 / ez) / (ez + 1 / ez + ez1 + 1 / ez1))
+
+
+def _dyadic(x, bits):
+    """x rounded to a nonzero multiple of 2^-bits."""
+    return np.ldexp(np.maximum(np.round(np.ldexp(x, bits)), 1.0), -bits)
+
+
+def test_weight_matches_50_digit_reference(rng):
+    # With T = mu_B = 1 the kernel sees exactly z = E and z1 = H, so the
+    # reference is evaluated at the same doubles.  The weight takes
+    # e^(z1 - z) from the rounded difference, which adds up to
+    # |z1 - z| 2^-53 relative: no more than rounding z1 itself to a double
+    # does.  Where the difference is exact (the dyadic samples) the bound
+    # is a flat 1e-15.
+    p = MaterialParams()
+    assert p.mu_B == 1.0
+    z = 10 ** rng.uniform(-14, 4, 300)
+    z1 = rng.uniform(0.0, 40.0, 300)
+    tail_z = 10 ** rng.uniform(-14, 1, 150)
+    tail_d = rng.uniform(30.0, 700.0, 150)
+    samples = [
+        (z, z1),
+        (_dyadic(z, 47), _dyadic(z1, 47)),
+        (tail_z, tail_z + tail_d),
+        (_dyadic(tail_z, 43), _dyadic(tail_z, 43) + _dyadic(tail_d, 43)),
+        (np.array([1e-14, 1.0, 1e4, 3.0, 0.5]), np.array([0.0, 0.0, 40.0, 703.0, 700.5])),
+    ]
+    exact_samples = 0
+    for zs, z1s in samples:
+        for z_, z1_ in zip(zs.tolist(), z1s.tolist()):
+            ref = _weight_reference(z_, z1_)
+            exact = Fraction(z1_) - Fraction(z_) == Fraction(z1_ - z_)
+            exact_samples += exact
+            tol = 1e-15 if exact else 1e-15 + abs(z1_ - z_) * 2.0**-53
+            assert abs(thermal_weight(1.0, z_, z1_, p) - ref) <= tol * ref, (z_, z1_)
+    assert exact_samples >= 450
 
 
 def test_weight_rejects_nonpositive_temperature():

@@ -120,6 +120,15 @@ def test_quad_spec_validation():
         QuadSpec(max_depth=0)
 
 
+def test_quad_spec_rejects_rel_tol_below_double_precision():
+    # 1e-15 is met by every integral of the package; below it the
+    # refinement only chases rounding noise until the panel cap.
+    assert QuadSpec(abs_tol=1e-20, rel_tol=1e-15).rel_tol == 1e-15
+    for rel_tol in (5e-16, 1e-20):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadSpec(abs_tol=1e-20, rel_tol=rel_tol)
+
+
 # -------------------------------------------------------------- root finding
 
 

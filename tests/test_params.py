@@ -151,6 +151,15 @@ def test_load_params_unknown_override(tmp_path):
         load_params(cfg, overrides={"lambda": 1.0})
 
 
+def test_load_params_without_file():
+    assert load_params() == default_params()
+    assert load_params(None, {"U1": 0.2}) == replace(default_params(), U1=0.2)
+    with pytest.raises(ValueError, match="unknown parameter override"):
+        load_params(None, {"lambda": 1.0})
+    with pytest.raises(ValueError, match="U1 must be > 0"):
+        load_params(None, {"U1": -1.0})
+
+
 def test_load_params_validates(tmp_path):
     cfg = tmp_path / "mat.cfg"
     cfg.write_text("a = -1.0\n")

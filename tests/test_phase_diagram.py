@@ -13,6 +13,7 @@ from bcsfield import (
     psi,
     run_sweep,
     solve_gap_squared,
+    solve_gap_squared_many,
     write_csv,
 )
 
@@ -123,6 +124,22 @@ def test_failure_budget(p, dbox):
     )
     with pytest.raises(SweepError, match="budget"):
         run_sweep(spec, p, dos_linear(), bad)
+
+
+def test_failed_sweep_keeps_the_first_reason(p, dbox):
+    # The first failed point's state and error end the SweepError message.
+    bad = DomainBox(T0=dbox.T0, tau1=dbox.tau1, H_max=dbox.H_max, Y0=1e-9)
+    spec = SweepSpec(
+        T_grid=(dbox.T0, 0.9 * dbox.tau1, 2),
+        H_grid=(0.0, 0.5 * dbox.H_max, 2),
+        outputs=frozenset({"gap_surface"}),
+    )
+    with pytest.raises(SweepError) as info:
+        run_sweep(spec, p, dos_linear(), bad)
+    message = str(info.value)
+    assert message.startswith("4/4 grid points failed")
+    assert f"first at T = {dbox.T0:.6g}, H = 0: " in message
+    assert message.endswith(str(solve_gap_squared_many(dbox.T0, 0.0, p, bad)[0]))
 
 
 # --------------------------------------------------------------------- CSV

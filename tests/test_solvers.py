@@ -13,7 +13,6 @@ from bcsfield import (
     F_eval,
     MaterialParams,
     StatePoint,
-    build_curve,
     domain_from,
     dos_linear,
     psi,
@@ -256,31 +255,6 @@ def test_slope_closed_form(p, tau1):
     # denominator -> tau1 (1/U1 - 2), both up to exp(-1/tau1) corrections.
     expected = -2.0 / (p.a * tau1 * (1.0 / p.U1 - 2.0))
     assert hc_slope_at_tc(p, tau1=tau1) == pytest.approx(expected, rel=1e-9)
-
-
-# ------------------------------------------------------------------- curve
-
-
-def test_build_curve_two_points(p, tau1, dbox):
-    curve = build_curve(p, dbox, 2)
-    assert len(curve.samples) == 2
-    assert curve.samples[0][0] == dbox.T0
-    assert curve.samples[-1][0] == tau1
-
-
-def test_build_curve_endpoint_and_monotonicity(p, tau1, dbox):
-    curve = build_curve(p, dbox, 12)
-    temps = [t for t, _ in curve.samples]
-    fields = [h for _, h in curve.samples]
-    assert temps == sorted(temps) and len(set(temps)) == len(temps)
-    assert fields[-1] == 0.0
-    assert all(b <= a for a, b in zip(fields, fields[1:]))
-    assert curve.slope_at_tau1 < 0
-
-
-def test_build_curve_needs_two_points(p, dbox):
-    with pytest.raises(ValueError):
-        build_curve(p, dbox, 1)
 
 
 # ------------------------------------------------------- input validation
