@@ -45,7 +45,6 @@ from .params import (
     Z_CAP,
     DomainBox,
     MaterialParams,
-    default_params,
     domain_from,
     load_params,
     validate,

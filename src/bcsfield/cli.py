@@ -22,7 +22,7 @@ import numpy as np
 
 from .kernel import F_eval, F_partials, StatePoint, fermi, thermal_weight
 from .numerics import NumericsError, QuadSpec, RootSpec, unwrap
-from .params import Z_CAP, DomainBox, MaterialParams, domain_from, load_params, validate
+from .params import Z_CAP, DomainBox, MaterialParams, domain_from, load_params
 from .phase_diagram import OUTPUT_KINDS, SweepError, SweepResult, SweepSpec, run_sweep, write_csv
 from .solvers import (
     hc_slope_at_tc,
@@ -108,7 +108,6 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="run the self-check suite")
     check.add_argument("--samples", type=int, default=40, help="sample count per randomized check")
     check.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
-    check.add_argument("--y0", type=float, default=None, help="override the gap bracket Y0 (fault injection)")
     return parser
 
 
@@ -272,13 +271,10 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     def add(name: str, prop: str, hard: bool, passed: bool, detail: str = "") -> None:
         checks.append((name, prop, hard, bool(passed), detail))
 
-    validate(p)
     tau1 = solve_tau1(p, root, quad)
-    T0 = _parse_temperature(config.t0_spec, tau1)
-    if args.y0 is not None:
-        dbox = DomainBox(T0=T0, tau1=tau1, H_max=Z_CAP * T0 / p.mu_B, Y0=args.y0)
-    else:
-        dbox = domain_from(p, T0, tau1)
+    dbox = _box(config, tau1)
+    mid_T = 0.5 * (dbox.T0 + tau1)
+    hc_mid = None  # H_c(mid_T), solved once and shared with the entropy checks
 
     add("domain-cap-inequality", "z sinh z < 2 at z = 1.24", True,
         Z_CAP * math.sinh(Z_CAP) < 2.0, f"value {Z_CAP * math.sinh(Z_CAP):.6f}")
@@ -347,14 +343,14 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
         ok = all(b <= a + root.x_tol for a, b in zip(hcs, hcs[1:])) and hcs[-1] == 0.0
         add("hc-curve", "H_c nonincreasing, H_c(tau1) = 0", True, ok,
             f"H_c(T0) = {hcs[0]:.6g}")
-        mid_T = 0.5 * (dbox.T0 + tau1)
-        gap_at_hc = solve_gap_squared(mid_T, solve_hc(mid_T, p, dbox, root, quad), p, dbox, root, quad)
+        hc_mid = solve_hc(mid_T, p, dbox, root, quad)
+        gap_at_hc = solve_gap_squared(mid_T, hc_mid, p, dbox, root, quad)
         add("gap-hc-consistency", "gap vanishes on the critical curve", True,
             gap_at_hc.boundary and gap_at_hc.Y == 0.0)
         slope = hc_slope_at_tc(p, root, quad, tau1=tau1)
         add("hc-slope-sign", "closed-form slope at tau1 is negative", True, slope < 0,
             f"slope {slope:.4f}")
-        sol = solve_gap_squared(0.5 * (dbox.T0 + tau1), 0.0, p, dbox, root, quad)
+        sol = solve_gap_squared(mid_T, 0.0, p, dbox, root, quad)
         add("gap-bracket", "squared gap solves inside (0, Y0]", True,
             (not sol.boundary) and 0 < sol.Y <= dbox.Y0,
             f"Y = {sol.Y:.6g}, residual {sol.residual:.2e}")
@@ -364,12 +360,11 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     # Soft checks: physically expected, not proven; reported but non-fatal.
     try:
         dos = dos_linear(1.0, 0.5)
-        mid_T = 0.5 * (dbox.T0 + tau1)
         tp = psi(mid_T, 0.0, p, dos, dbox, root, quad)
         add("psi-negative", "grand-potential difference < 0 in the paired state", False,
             tp.psi < 0, f"psi = {tp.psi:.3e}")
-        ds = entropy_gap(mid_T, p, dos, dbox, root, quad)
-        ds_fd = entropy_gap_fd(mid_T, p, dos, dbox, root)
+        ds = entropy_gap(mid_T, p, dos, dbox, root, quad, hc=hc_mid)
+        ds_fd = entropy_gap_fd(mid_T, p, dos, dbox, root, hc=hc_mid)
         agree = ds < 0 and ds_fd < 0 and abs(ds_fd / ds - 1.0) <= 0.05
         add("entropy-gap-cross-check", "closed form matches -dPsi/dT within 5%", False,
             agree, f"formula {ds:.4e}, fd {ds_fd:.4e}")

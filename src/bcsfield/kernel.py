@@ -130,9 +130,13 @@ def thermal_weight(T: float, E, H: float, p: MaterialParams):
     Evaluated in one exponent-safe form (see ``_weight``) that is finite
     and accurate for any E >= 0, H >= 0 and T > 0.  The value lies in
     [0, 1); it rounds to 1.0 where 1 - w is below double resolution.
+
+    Raises:
+        ValueError: naming ``T`` or ``H``, for a non-finite or negative
+            entry or a zero temperature.
     """
-    if not T > 0:
-        raise ValueError(f"T must be > 0, got {T!r}")
+    T = check_arg("T", T, positive=True)
+    H = check_arg("H", H)
     E = np.asarray(E, dtype=float)
     out = _weight(E / T, p.mu_B * H / T)
     out = np.asarray(out)

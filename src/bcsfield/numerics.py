@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import check_arg
+
 __all__ = [
     "QuadSpec",
     "RootSpec",
@@ -85,36 +87,42 @@ class RootBelowBracket(NumericsError):
 # and nearly all psi integrals refine until they fail.
 MIN_REL_TOL = 1e-15
 
+# Deepest bisection level of adaptive quadrature: a panel still unconverged
+# at this depth fails its interval.
+MAX_DEPTH = 50
+
+# Iteration limit of a bracketed root solve.  With a bisection step every
+# fourth iteration it guarantees 50 halvings of the bracket.
+MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and depth limit for adaptive quadrature.
+    """Tolerances for adaptive quadrature.
 
     The returned estimate satisfies
     ``error <= max(abs_tol, rel_tol * |estimate|)`` whenever the integrator
-    returns without raising.  ``rel_tol`` must be at least
-    ``MIN_REL_TOL``: below it the Kronrod-Gauss differences are rounding
-    noise of the panel sums, and refinement runs to the panel cap and fails.
+    returns without raising.  Both must be finite and > 0, and ``rel_tol``
+    at least ``MIN_REL_TOL``: below it the Kronrod-Gauss differences are
+    rounding noise of the panel sums, and refinement runs to the panel cap
+    and fails.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 50
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be > 0")
+        check_arg("abs_tol", self.abs_tol, positive=True)
+        check_arg("rel_tol", self.rel_tol, positive=True)
         if self.rel_tol < MIN_REL_TOL:
             raise ValueError(
                 f"rel_tol must be >= {MIN_REL_TOL:g} (double precision), got {self.rel_tol!r}"
             )
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
 class RootSpec:
-    """Tolerances for bracketed root finding.
+    """Tolerances for bracketed root finding, both finite and > 0.
 
     ``x_tol`` is an absolute width; callers working far from unit scale
     should set it to 1e-12 times their natural scale.
@@ -122,13 +130,10 @@ class RootSpec:
 
     x_tol: float = 1e-12
     f_tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if self.x_tol <= 0 or self.f_tol <= 0:
-            raise ValueError("root tolerances must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_arg("x_tol", self.x_tol, positive=True)
+        check_arg("f_tol", self.f_tol, positive=True)
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 # Largest number of panels one refinement level evaluates.  An interval whose
 # next level would hold more fails: an integrand whose rounding noise exceeds
 # the tolerance doubles its panels at every level, and the cap stops it after
-# 17 levels instead of max_depth.  A sharp feature needs depth, not width, so
+# 17 levels instead of MAX_DEPTH.  A sharp feature needs depth, not width, so
 # legitimate integrals stay far below it: a piecewise-linear tabulated DOS
 # needs about two panels per knot.  A batch whose level would hold more is
 # refined in groups of intervals, which bounds the frontier to tens of
@@ -260,7 +265,7 @@ def integrate_many(
         dict from interval index to the ``QuadratureError`` that failed it.
         Failed entries of ``values`` are NaN; the others are unaffected.  An
         interval fails when the integrand is not finite on one of its
-        panels (at once, naming that panel), when a panel at max_depth is
+        panels (at once, naming that panel), when a panel at MAX_DEPTH is
         unconverged (naming the leftmost), or when its next level would
         hold more than MAX_ACTIVE_PANELS panels.
 
@@ -315,7 +320,7 @@ def integrate_many(
                 ok &= live
                 split &= live
             np.add.at(total, owner[ok], est[ok])
-            if depth >= spec.max_depth:
+            if depth >= MAX_DEPTH:
                 for i in np.flatnonzero(split):
                     errors.setdefault(int(owner[i]), QuadratureError(
                         f"quadrature did not converge on [{float(a[i])!r}, {float(b[i])!r}] "
@@ -365,7 +370,7 @@ def integrate(f: Callable, lo: float, hi: float, spec: QuadSpec | None = None) -
         ``max(abs_tol, rel_tol * |estimate|)``.
 
     Raises:
-        QuadratureError: if max_depth is reached with the tolerance unmet,
+        QuadratureError: if MAX_DEPTH is reached with the tolerance unmet,
             or the integrand is not finite somewhere.
         ValueError: if lo > hi or a bound is not finite.
     """
@@ -391,7 +396,7 @@ def find_root_decreasing_many(
         One entry per function: a ``RootResult`` with ``|residual| <=
         f_tol`` or a final bracket width ``<= x_tol``, or the error that
         ended it: ``RootBelowBracket`` if ``g(lo) <= f_tol``,
-        ``BracketError`` if ``g(hi) > f_tol``, ``NumericsError`` if max_iter
+        ``BracketError`` if ``g(hi) > f_tol``, ``NumericsError`` if MAX_ITER
         is exhausted, or an error returned by ``g``.
 
     Raises:
@@ -435,7 +440,7 @@ def find_root_decreasing_many(
     live &= ~(g_hi > 0.0)
     idx, a, fa, b, fb = idx[live], a[live], fa[live], hi[idx[live]], g_hi[live]
     side = np.zeros(idx.size, dtype=int)  # +1 / -1: which endpoint the last update replaced
-    for it in range(1, spec.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not idx.size:
             break
         bisect = 0.5 * (a + b)
@@ -458,7 +463,7 @@ def find_root_decreasing_many(
         idx, a, fa, b, fb, side = idx[live], a[live], fa[live], b[live], fb[live], side[live]
     for i in range(idx.size):
         out[idx[i]] = NumericsError(
-            f"root iteration limit ({spec.max_iter}) exhausted; "
+            f"root iteration limit ({MAX_ITER}) exhausted; "
             f"bracket [{float(a[i])!r}, {float(b[i])!r}]"
         )
     return out
@@ -487,7 +492,7 @@ def find_root_decreasing(
             the lower endpoint (within tolerance).  Callers map this to their
             boundary cases.
         BracketError: if ``g(hi) > f_tol`` -- no root in the bracket.
-        NumericsError: if max_iter is exhausted (should not happen for a
+        NumericsError: if MAX_ITER is exhausted (should not happen for a
             bracketed method with sane tolerances).
     """
     def g_many(x, idx):

@@ -20,7 +20,6 @@ __all__ = [
     "DomainBox",
     "validate",
     "check_arg",
-    "default_params",
     "load_params",
     "domain_from",
 ]
@@ -42,6 +41,9 @@ class MaterialParams:
     a: linear orbital coupling, energy per unit field (> 0).
     b: quadratic orbital coupling, energy per unit field squared (> 0).
     mu_B: Bohr magneton, energy per unit field (> 0).
+
+    Every field must be finite; construction (and ``replace``) raises a
+    ``ValueError`` naming the first field that breaks its bound.
     """
 
     hbar_omega_D: float = 1.0
@@ -51,20 +53,21 @@ class MaterialParams:
     b: float = 0.1
     mu_B: float = 1.0
 
+    def __post_init__(self) -> None:
+        validate(self)
+
 
 def validate(params: MaterialParams) -> MaterialParams:
     """Check the sign invariants and return the parameters unchanged.
 
     Raises:
-        ValueError: naming the offending field, for any non-positive
-            required constant.
+        ValueError: naming the offending field, for a non-finite constant
+            or a non-positive required one.
     """
     for name in ("hbar_omega_D", "U1", "a", "b", "mu_B"):
-        if not getattr(params, name) > 0:
-            raise ValueError(f"{name} must be > 0, got {getattr(params, name)!r}")
-    for name in ("hbar_omega_D", "mu", "U1", "a", "b", "mu_B"):
-        if not math.isfinite(getattr(params, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(params, name)!r}")
+        check_arg(name, getattr(params, name), positive=True)
+    if not math.isfinite(params.mu):
+        raise ValueError(f"mu must be finite, got {params.mu!r}")
     return params
 
 
@@ -83,11 +86,6 @@ def check_arg(name: str, value, positive: bool = False) -> np.ndarray:
     if bad.any():
         raise ValueError(f"{name} must be {'> 0' if positive else '>= 0'}, got {float(arr[bad][0])!r}")
     return arr
-
-
-def default_params() -> MaterialParams:
-    """Weak-coupling defaults with the Debye energy as the unit of energy."""
-    return MaterialParams()
 
 
 def load_params(
@@ -125,7 +123,7 @@ def load_params(
         if unknown:
             raise ValueError(f"unknown parameter override(s): {sorted(unknown)}")
         params = replace(params, **overrides)
-    return validate(params)
+    return params
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,9 @@ class DomainBox:
     On this box the kernel F is strictly decreasing in H, T and squared gap,
     which is what makes every root in this package unique.  ``H_max`` is
     exactly ``Z_CAP * T0 / mu_B`` and ``Y0`` is a verified upper bracket for
-    the squared gap (F(T0, 0, Y0) < 0).
+    the squared gap (F(T0, 0, Y0) < 0) when the box comes from
+    :func:`domain_from`.  Construction raises a ``ValueError`` naming the
+    field unless every field is finite and > 0 and T0 < tau1.
     """
 
     T0: float
@@ -143,40 +143,30 @@ class DomainBox:
     H_max: float
     Y0: float
 
+    def __post_init__(self) -> None:
+        for name in ("T0", "tau1", "H_max", "Y0"):
+            check_arg(name, getattr(self, name), positive=True)
+        if not self.T0 < self.tau1:
+            raise ValueError(f"need 0 < T0 < tau1, got T0={self.T0!r}, tau1={self.tau1!r}")
 
-def domain_from(
-    params: MaterialParams,
-    T0: float,
-    tau1: float,
-    Y0_hint: float | None = None,
-) -> DomainBox:
+
+def domain_from(params: MaterialParams, T0: float, tau1: float) -> DomainBox:
     """Build the working box for given temperature bounds.
 
-    ``Y0`` defaults to four times the squared zero-temperature gap,
-    ``4 * (hbar_omega_D / sinh(1/(2 U1)))**2``: the zero-temperature gap is
-    the global maximum of the squared gap, so a factor-4 margin guarantees
-    the bracket.  The corner (T0, 0), where F is largest over the box, is
-    checked to satisfy F(T0, 0, Y0) < 0; if not (possible only with a
-    user-supplied ``Y0_hint``), Y0 is doubled, at most 60 times.
+    ``Y0`` is four times the squared zero-temperature gap,
+    ``4 * (hbar_omega_D / sinh(1/(2 U1)))**2``.  It is always a bracket: at
+    H = 0 the weight tanh(E/2T) falls as T rises, so F(T0, 0, Y) is below
+    its T -> 0 limit 2 asinh(hbar_omega_D / sqrt(Y)) - 1/U1, which is
+    negative at Y = 4 Delta_0^2.  The corner (T0, 0), where F is largest
+    over the box, is still checked to satisfy F(T0, 0, Y0) < 0.
 
     Raises:
-        ValueError: unless 0 < T0 < tau1, or if the bracket check fails
-            after 60 doublings.
+        ValueError: unless 0 < T0 < tau1, or if the corner check fails.
     """
     from .kernel import F_eval, StatePoint  # deferred: kernel depends on this module
 
-    validate(params)
-    if not 0 < T0 < tau1:
-        raise ValueError(f"need 0 < T0 < tau1, got T0={T0!r}, tau1={tau1!r}")
-    H_max = Z_CAP * T0 / params.mu_B
-    if Y0_hint is not None:
-        if Y0_hint <= 0:
-            raise ValueError(f"Y0_hint must be > 0, got {Y0_hint!r}")
-        Y0 = Y0_hint
-    else:
-        Y0 = 4.0 * (params.hbar_omega_D / math.sinh(0.5 / params.U1)) ** 2
-    for _ in range(61):
-        if F_eval(StatePoint(T0, 0.0, Y0), params) < 0.0:
-            return DomainBox(T0=T0, tau1=tau1, H_max=H_max, Y0=Y0)
-        Y0 *= 2.0
-    raise ValueError("could not establish F(T0, 0, Y0) < 0 after 60 doublings of Y0")
+    Y0 = 4.0 * (params.hbar_omega_D / math.sinh(0.5 / params.U1)) ** 2
+    box = DomainBox(T0=T0, tau1=tau1, H_max=Z_CAP * T0 / params.mu_B, Y0=Y0)
+    if not F_eval(StatePoint(T0, 0.0, Y0), params) < 0.0:
+        raise ValueError(f"F(T0, 0, Y0) < 0 fails at T0={T0!r}, Y0={Y0!r}")
+    return box

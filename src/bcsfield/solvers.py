@@ -39,7 +39,7 @@ from .numerics import (
     integrate,
     unwrap,
 )
-from .params import Z_CAP, DomainBox, MaterialParams, check_arg, validate
+from .params import Z_CAP, DomainBox, MaterialParams, check_arg
 
 __all__ = [
     "GapSolution",
@@ -119,9 +119,6 @@ def solve_tau1(
         NumericsError: if no sign change appears within the expansion budget
             (pathological parameters).
     """
-    validate(p)
-    spec = spec if spec is not None else RootSpec()
-
     def g(T: float) -> float:
         return F_eval(StatePoint(T, 0.0, 0.0), p, quad)
 
@@ -317,8 +314,14 @@ def hc_slope_at_tc(
 
     with the removable u -> 0 limit of the denominator integrand handled by
     its quadratic series.  Always negative; scales exactly as 1/a.
+
+    This is not the slope of the solved curve.  F is even in H at H = 0
+    (F_H(tau1, 0, 0) = 0), so the curve leaves tau1 with a square-root cusp,
+    H_c ~ K sqrt(tau1 - T) with K = sqrt(2 |F_T| / |F_HH|) at (tau1, 0, 0),
+    and its difference quotients diverge instead of approaching this value.
+    ``tests/test_acceptance.py::test_criterion_6_slope_formula`` compares the
+    two and fails for that reason.
     """
-    validate(p)
     if tau1 is None:
         tau1 = solve_tau1(p, spec, quad)
     w = p.hbar_omega_D

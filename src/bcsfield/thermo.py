@@ -20,6 +20,7 @@ cases of the same code.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +38,7 @@ from .numerics import (
     integrate_many,
     unwrap,
 )
-from .params import DomainBox, MaterialParams
+from .params import DomainBox, MaterialParams, check_arg
 from .solvers import (
     DomainWarning,
     GapSolution,
@@ -71,42 +72,43 @@ class DosModel:
     """Density of states D(eps).
 
     kind: one of ``constant``, ``linear``, ``sqrt``, ``tabulated``.
-    D0: overall scale (value at eps = mu for the analytic kinds).
-    slope_param: relative slope per Debye energy (linear kind only).
-    table: (eps, D) arrays, strictly increasing eps (tabulated kind only).
-    monotone_increasing: whether D grows with eps; a strictly increasing
-        DOS is what produces a negative entropy gap.
+    D0: overall scale (value at eps = mu for the analytic kinds), finite
+        and > 0.
+    slope_param: relative slope per Debye energy (linear kind only), finite.
+    table: (eps, D) arrays, strictly increasing eps (tabulated kind only,
+        and required by it); build it with :func:`dos_tabulated`.
+
+    A strictly increasing DOS is what produces a negative entropy gap.
     """
 
     kind: str
     D0: float = 1.0
     slope_param: float = 0.0
     table: tuple[np.ndarray, np.ndarray] | None = None
-    monotone_increasing: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in DOS_KINDS:
             raise ValueError(f"unknown DOS kind {self.kind!r}; expected one of {DOS_KINDS}")
-        if not self.D0 > 0:
-            raise ValueError(f"D0 must be > 0, got {self.D0!r}")
+        check_arg("D0", self.D0, positive=True)
+        if not math.isfinite(self.slope_param):
+            raise ValueError(f"slope_param must be finite, got {self.slope_param!r}")
+        if self.kind == "tabulated" and self.table is None:
+            raise ValueError("a tabulated DOS needs a table (use dos_tabulated)")
 
 
 def dos_constant(D0: float = 1.0) -> DosModel:
     """Flat density of states (entropy gap vanishes identically)."""
-    return DosModel(kind="constant", D0=D0, monotone_increasing=False)
+    return DosModel(kind="constant", D0=D0)
 
 
 def dos_linear(D0: float = 1.0, slope_param: float = 0.5) -> DosModel:
     """D(eps) = D0 (1 + slope_param (eps - mu) / hbar_omega_D)."""
-    return DosModel(
-        kind="linear", D0=D0, slope_param=slope_param,
-        monotone_increasing=slope_param > 0,
-    )
+    return DosModel(kind="linear", D0=D0, slope_param=slope_param)
 
 
 def dos_sqrt(D0: float = 1.0) -> DosModel:
     """Free-electron D(eps) = D0 sqrt(eps / mu); requires eps > 0."""
-    return DosModel(kind="sqrt", D0=D0, monotone_increasing=True)
+    return DosModel(kind="sqrt", D0=D0)
 
 
 def dos_tabulated(eps: np.ndarray, dens: np.ndarray) -> DosModel:
@@ -119,11 +121,7 @@ def dos_tabulated(eps: np.ndarray, dens: np.ndarray) -> DosModel:
         raise ValueError("tabulated DOS abscissas must be strictly increasing")
     if np.any(dens < 0):
         raise ValueError("tabulated DOS must be nonnegative")
-    increasing = bool(np.all(np.diff(dens) >= 0) and dens[-1] > dens[0])
-    return DosModel(
-        kind="tabulated", D0=float(dens.max()), table=(eps, dens),
-        monotone_increasing=increasing,
-    )
+    return DosModel(kind="tabulated", D0=float(dens.max()), table=(eps, dens))
 
 
 def load_dos_table(path: str | Path) -> DosModel:
@@ -346,7 +344,7 @@ def entropy_gap(
     return -0.25 * df_dT * brace
 
 
-_FD_QUAD = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, max_depth=50)
+_FD_QUAD = QuadSpec(1e-13, 1e-13)
 
 
 def entropy_gap_fd(

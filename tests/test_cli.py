@@ -64,6 +64,18 @@ def test_tolerance_below_double_precision_exits_1(capsys):
     assert "config error" in err and "rel_tol" in err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--abs-tol", "nan", "abs_tol"),
+    ("--rel-tol", "inf", "rel_tol"),
+    ("--x-tol", "inf", "x_tol"),
+    ("--f-tol", "nan", "f_tol"),
+])
+def test_non_finite_tolerance_exits_1(capsys, flag, value, field):
+    code, out, err = run(capsys, flag, value, "tc")
+    assert code == 1 and out == ""
+    assert "config error" in err and f"{field} must be finite" in err
+
+
 def test_bad_usage_exits_1(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
@@ -268,10 +280,24 @@ def test_check_json(capsys):
     assert all({"name", "property", "hard", "passed"} <= set(c) for c in payload["checks"])
 
 
-def test_check_corrupted_y0_surfaces_bracket_failure(capsys):
-    code, out, _ = run(capsys, "check", "--samples", "4", "--y0", "1e-9")
+def test_check_low_T0_surfaces_bracket_failure(capsys):
+    code, out, _ = run(capsys, "--T0", "0.5tau1", "check", "--samples", "4")
     assert code == 3
-    assert "FAIL" in out
+    assert "FAIL" in out and "raise T0" in out
+
+
+def test_check_solves_the_mid_critical_field_once(capsys, monkeypatch):
+    # The entropy checks reuse the H_c(mid_T) of gap-hc-consistency.
+    import bcsfield.thermo
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("thermo solved H_c again")
+
+    monkeypatch.setattr(bcsfield.thermo, "solve_hc", no_solve)
+    code, out, _ = run(capsys, "--json", "check", "--samples", "4")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["entropy-gap-cross-check"]["passed"]
 
 
 @pytest.mark.parametrize("T, H, name", [("0.03", "nan", "H"), ("inf", "0.01", "T")])

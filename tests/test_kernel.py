@@ -42,8 +42,8 @@ def interior_points(dbox, rng, n, h_lo=1e-4):
 
 
 def test_energy_pythagorean_triple():
-    p = MaterialParams(a=1.0, b=0.0)
-    assert quasiparticle_energy(3.0, 1.0, 9.0, p) == pytest.approx(5.0, rel=1e-15)
+    p = MaterialParams(a=1.0, b=1.0)  # shift a H + b H^2 = 2 at H = 1
+    assert quasiparticle_energy(1.0, 1.0, 16.0, p) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_energy_reduces_to_abs_xi():
@@ -57,10 +57,10 @@ def test_energy_zero_xi():
 
 
 def test_energy_vectorized():
-    p = MaterialParams(a=1.0, b=0.0)
-    xi = np.array([3.0, 0.0, -5.0])
+    p = MaterialParams(a=1.0, b=1.0)
+    xi = np.array([2.0, 0.0, -6.0])
     out = quasiparticle_energy(xi, 1.0, 0.0, p)
-    assert np.allclose(out, [4.0, 1.0, 4.0])
+    assert np.allclose(out, [4.0, 2.0, 4.0])
 
 
 # ---------------------------------------------------------------- weight
@@ -160,6 +160,17 @@ def test_weight_matches_50_digit_reference(rng):
 def test_weight_rejects_nonpositive_temperature():
     with pytest.raises(ValueError):
         thermal_weight(0.0, 1.0, 0.0, MaterialParams())
+
+
+@pytest.mark.parametrize("T, H, name", [
+    (math.inf, 0.0, "T"),                  # used to return 0.0
+    (np.array([0.5, -1.0]), 0.0, "T"),     # used to fail on an array truth value
+    (1.0, math.nan, "H"),
+    (1.0, -0.5, "H"),
+])
+def test_weight_rejects_bad_arguments_by_name(T, H, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        thermal_weight(T, 1.0, H, MaterialParams())
 
 
 # ---------------------------------------------------------------- integrand

@@ -78,7 +78,7 @@ def test_depth_exhaustion_raises_with_worst_panel():
     # A jump discontinuity defeats bisection at any depth.
     f = lambda x: np.where(x < 1 / 3, 0.0, 1.0)
     with pytest.raises(QuadratureError) as err:
-        integrate(f, 0.0, 1.0, QuadSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=8))
+        integrate(f, 0.0, 1.0, QuadSpec(abs_tol=1e-14, rel_tol=1e-14))
     assert err.value.panel_lo < 1 / 3 < err.value.panel_hi
     assert err.value.panel_err > 0
 
@@ -116,8 +116,6 @@ def test_affine_integrands_exact(a, b, lo, width):
 def test_quad_spec_validation():
     with pytest.raises(ValueError):
         QuadSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(max_depth=0)
 
 
 def test_quad_spec_rejects_rel_tol_below_double_precision():
@@ -184,7 +182,7 @@ def test_never_evaluates_outside_bracket():
 
 def test_bracket_width_termination():
     # Force the x_tol exit with an f_tol too tight to reach in few digits.
-    spec = RootSpec(x_tol=1e-6, f_tol=1e-300, max_iter=200)
+    spec = RootSpec(x_tol=1e-6, f_tol=1e-300)
     result = find_root_decreasing(lambda x: math.pi / 4 - x, 0.0, 1.0, spec)
     assert result.root == pytest.approx(math.pi / 4, abs=1e-5)
 
@@ -201,22 +199,22 @@ def test_monotone_cubic_roots(root, scale):
     assert result.root == pytest.approx(root, abs=1e-4)
 
 
-def test_max_iter_exhaustion():
-    spec = RootSpec(x_tol=1e-300, f_tol=1e-300, max_iter=5)
+def test_max_iter_exhaustion(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_ITER", 5)
+    spec = RootSpec(x_tol=1e-300, f_tol=1e-300)
     with pytest.raises(NumericsError):
         find_root_decreasing(lambda x: math.exp(-x) - 0.5, 0.0, 10.0, spec)
 
 
-def test_nan_function_exhausts_the_iterations():
+def test_nan_function_exhausts_the_iterations(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_ITER", 8)
     with pytest.raises(NumericsError, match="iteration limit"):
-        find_root_decreasing(lambda x: math.nan, 0.0, 1.0, RootSpec(max_iter=8))
+        find_root_decreasing(lambda x: math.nan, 0.0, 1.0)
 
 
 def test_root_spec_validation():
     with pytest.raises(ValueError):
         RootSpec(x_tol=-1.0)
-    with pytest.raises(ValueError):
-        RootSpec(max_iter=0)
 
 
 def test_invalid_bracket_ordering():

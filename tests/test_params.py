@@ -1,18 +1,23 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcsfield import (
     MaterialParams,
     Z_CAP,
-    default_params,
     domain_from,
     load_params,
     validate,
 )
 from bcsfield.kernel import F_eval, StatePoint
+from bcsfield.numerics import QuadSpec, RootSpec
+from bcsfield.params import DomainBox
+from bcsfield.thermo import DosModel
 
 
 def test_validate_accepts_positive_constants():
@@ -37,10 +42,45 @@ def test_validate_names_the_offending_field(field):
 
 
 def test_defaults():
-    p = default_params()
+    p = MaterialParams()
     assert p.hbar_omega_D == 1.0
     assert p.mu == 10.0 * p.hbar_omega_D
     assert p.mu_B > 0 and p.a > 0 and p.b > 0
+
+
+# ------------------------------------------------------ constructor contract
+
+# Valid values for the fields a case does not vary.
+_BASE = {
+    MaterialParams: {},
+    QuadSpec: {},
+    RootSpec: {},
+    DomainBox: {"T0": 0.03, "tau1": 0.04, "H_max": 0.0372, "Y0": 0.02},
+    DosModel: {"kind": "linear"},
+}
+_FIELDS = [
+    *((MaterialParams, f) for f in ("hbar_omega_D", "mu", "U1", "a", "b", "mu_B")),
+    (QuadSpec, "abs_tol"), (QuadSpec, "rel_tol"),
+    (RootSpec, "x_tol"), (RootSpec, "f_tol"),
+    *((DomainBox, f) for f in ("T0", "tau1", "H_max", "Y0")),
+    (DosModel, "D0"), (DosModel, "slope_param"),
+]
+
+
+@pytest.mark.parametrize("cls, field", _FIELDS, ids=[f"{c.__name__}.{f}" for c, f in _FIELDS])
+@settings(max_examples=60, deadline=None)
+@given(value=st.floats(allow_nan=True, allow_infinity=True))
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=0.0)
+def test_constructor_holds_the_value_or_names_the_field(cls, field, value):
+    try:
+        obj = cls(**{**_BASE[cls], field: value})
+    except ValueError as exc:
+        assert re.search(rf"\b{field}\b", str(exc)), str(exc)
+    else:
+        assert getattr(obj, field) == value
 
 
 # ------------------------------------------------------------------- box
@@ -73,21 +113,6 @@ def test_y0_closed_form_and_corner_check(tau1):
     assert F_eval(StatePoint(box.T0, 0.0, box.Y0), p) < 0.0
 
 
-def test_y0_hint_doubles_until_bracket_holds(tau1):
-    p = MaterialParams()
-    tiny = 1e-9
-    box = domain_from(p, 0.02, tau1, Y0_hint=tiny)
-    assert box.Y0 > tiny
-    assert F_eval(StatePoint(box.T0, 0.0, box.Y0), p) < 0.0
-    # the doubling chain is exact powers of two from the hint
-    assert box.Y0 / tiny == 2.0 ** round(math.log2(box.Y0 / tiny))
-
-
-def test_y0_hint_must_be_positive(tau1):
-    with pytest.raises(ValueError, match="Y0_hint"):
-        domain_from(MaterialParams(), 0.02, tau1, Y0_hint=0.0)
-
-
 # ---------------------------------------------------------------- config IO
 
 
@@ -113,7 +138,7 @@ def test_load_params_partial_file_keeps_defaults(tmp_path):
     cfg.write_text("U1 = 0.2\n")
     p = load_params(cfg)
     assert p.U1 == 0.2
-    assert p.hbar_omega_D == default_params().hbar_omega_D
+    assert p.hbar_omega_D == MaterialParams().hbar_omega_D
 
 
 def test_load_params_unknown_key_rejected(tmp_path):
@@ -152,8 +177,8 @@ def test_load_params_unknown_override(tmp_path):
 
 
 def test_load_params_without_file():
-    assert load_params() == default_params()
-    assert load_params(None, {"U1": 0.2}) == replace(default_params(), U1=0.2)
+    assert load_params() == MaterialParams()
+    assert load_params(None, {"U1": 0.2}) == replace(MaterialParams(), U1=0.2)
     with pytest.raises(ValueError, match="unknown parameter override"):
         load_params(None, {"lambda": 1.0})
     with pytest.raises(ValueError, match="U1 must be > 0"):

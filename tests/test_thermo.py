@@ -67,7 +67,6 @@ def test_dos_tabulated_interpolates_and_bounds(p):
     assert dos_eval(dos, 0.5, p) == pytest.approx(1.5)
     with pytest.raises(ValueError, match="outside"):
         dos_eval(dos, 2.5, p)
-    assert dos.monotone_increasing
 
 
 def test_dos_tabulated_validation():
@@ -82,7 +81,6 @@ def test_dos_table_file_roundtrip(tmp_path, p):
     path.write_text("9.0 0.9\n10.0 1.0\n11.0 1.1\n")
     dos = load_dos_table(path)
     assert dos_eval(dos, 10.5, p) == pytest.approx(1.05)
-    assert dos.monotone_increasing
 
 
 def test_dos_kind_validation():
@@ -90,6 +88,9 @@ def test_dos_kind_validation():
 
     with pytest.raises(ValueError, match="kind"):
         DosModel(kind="parabolic")
+    # Without a table dos_eval would fail on unpacking None.
+    with pytest.raises(ValueError, match="table"):
+        DosModel(kind="tabulated")
 
 
 # --------------------------------------------------------- grand potential
@@ -309,7 +310,6 @@ def test_densely_tabulated_dos(p, tau1, dbox):
     # every spin window, integrated whole by the adaptive quadrature.
     x = np.linspace(-2.0, 2.0, 601)
     dos = dos_tabulated(p.mu + x, 1.0 + 0.3 * x + 0.05 * x * x + 0.01 * np.sin(9.0 * x))
-    assert dos.monotone_increasing
     T = 0.9 * tau1
     tp = psi(T, 0.5 * solve_hc(T, p, dbox), p, dos, dbox)
     assert tp.psi < 0.0
