@@ -56,6 +56,7 @@ from .solvers import (
     SingularDerivativeError,
     hc_slope_at_tc,
     implicit_partials,
+    implicit_partials_many,
     solve_gap_squared,
     solve_gap_squared_many,
     solve_hc,
@@ -72,6 +73,8 @@ from .thermo import (
     dos_tabulated,
     entropy_gap,
     entropy_gap_fd,
+    entropy_gap_fd_many,
+    entropy_gap_many,
     grand_potential_N,
     grand_potential_S,
     load_dos_table,

@@ -256,6 +256,7 @@ def _cmd_sweep(config: CliConfig, args) -> int:
         "files": [str(path) for path in paths],
         "points": result.points,
         "failures": result.failures,
+        "failed": [{"T": T, "H": H, "error": error} for T, H, error in result.failed],
     })
     return 0
 

@@ -48,7 +48,7 @@ __all__ = [
     "F_partials_many",
 ]
 
-# E below 1e-8 * max(T, hbar_omega_D) takes the removable-limit branch of J.
+# E below 1e-8 * T takes the removable-limit branch of J.
 SINGULAR_E_FRACTION = 1e-8
 
 # E/T below which the Y-derivative of J switches to its cancellation-free
@@ -146,14 +146,16 @@ def thermal_weight(T: float, E, H: float, p: MaterialParams):
 def integrand_J(T: float, H: float, Y: float, xi, p: MaterialParams):
     """J = thermal_weight(E) / E with the removable E -> 0 limit.
 
-    Where E < SINGULAR_E_FRACTION * max(T, hbar_omega_D) the limit
-    ``1 / (T (1 + cosh(mu_B H / T)))`` is returned instead of 0/0.
+    Where E < SINGULAR_E_FRACTION * T the limit
+    ``1 / (T (1 + cosh(mu_B H / T)))`` is returned instead of 0/0.  The cut
+    scales with T alone: there J differs from its limit by a relative
+    O((E/T)^2) below double resolution, while any E >> T, however small
+    against hbar_omega_D, keeps the full expression.
     """
     xi = np.asarray(xi, dtype=float)
     E = np.asarray(quasiparticle_energy(xi, H, Y, p))
     z1 = p.mu_B * H / T
-    tiny = SINGULAR_E_FRACTION * np.maximum(T, p.hbar_omega_D)
-    small = E < tiny
+    small = E < SINGULAR_E_FRACTION * T
     if small.any():
         E_safe = np.where(small, 1.0, E)
         out = np.where(small, 2.0 * fermi_delta(z1) / T, _weight(E_safe / T, z1) / E_safe)

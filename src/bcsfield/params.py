@@ -9,6 +9,7 @@ unit conversions are performed anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -62,12 +63,26 @@ def validate(params: MaterialParams) -> MaterialParams:
 
     Raises:
         ValueError: naming the offending field, for a non-finite constant
-            or a non-positive required one.
+            or a non-positive required one; naming U1 and hbar_omega_D when
+            the gap scales fall outside double range, i.e. the weak-coupling
+            scale hbar_omega_D e^(-1/(2 U1)) is below the smallest normal
+            double or sinh(1/(2 U1)) overflows.
     """
     for name in ("hbar_omega_D", "U1", "a", "b", "mu_B"):
         check_arg(name, getattr(params, name), positive=True)
     if not math.isfinite(params.mu):
         raise ValueError(f"mu must be finite, got {params.mu!r}")
+    x = 0.5 / params.U1
+    try:
+        math.sinh(x)  # domain_from divides by it; raises OverflowError past double range
+        in_range = params.hbar_omega_D * math.exp(-x) >= sys.float_info.min
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(
+            f"U1 = {params.U1!r} with hbar_omega_D = {params.hbar_omega_D!r} puts the gap "
+            "scale hbar_omega_D e^(-1/(2 U1)) outside double range"
+        )
     return params
 
 

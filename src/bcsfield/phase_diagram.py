@@ -3,11 +3,13 @@
 A sweep is three batched solves: the critical fields of every temperature
 in one lockstep root iteration, then the gaps of every (T, H) point in
 another, then the grand potentials of every point in one breadth-first
-quadrature.  Each point's result does not depend on the rest of the batch,
-so a sweep is deterministic: the same spec and parameters always produce
-byte-identical CSV.  A point whose solve fails fails on its own: it is
-recorded as a row marker and the sweep continues; more than 10% failed
-points aborts the sweep.
+quadrature.  The entropy curve is two more batched calls over all of its
+rows, ``entropy_gap_many`` and ``entropy_gap_fd_many``.  Each point's result
+does not depend on the rest of the batch, so a sweep is deterministic: the
+same spec and parameters always produce byte-identical CSV.  A point whose
+solve fails fails on its own: it is recorded as a row marker, with its
+reason in ``SweepResult.failed``, and the sweep continues; more than 10%
+failed points aborts the sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .numerics import NumericsError, QuadSpec, RootSpec, unwrap
 from .params import DomainBox, MaterialParams, check_arg
 from .solvers import DomainWarning, solve_gap_squared_many, solve_hc_many
-from .thermo import DosModel, entropy_gap, entropy_gap_fd, psi_many
+from .thermo import DosModel, entropy_gap_fd_many, entropy_gap_many, psi_many
 
 __all__ = ["SweepSpec", "SweepResult", "SweepError", "run_sweep", "write_csv"]
 
@@ -87,14 +89,24 @@ def _check_grid(name: str, grid) -> None:
 
 @dataclass
 class SweepResult:
-    """Row-oriented sweep output, one list per requested table."""
+    """Row-oriented sweep output, one list per requested table.
+
+    ``failed`` holds one ``(T, H, error text)`` per failed point, in the
+    order the tables are built; H is None for the per-temperature tables
+    (``hc_curve``, ``entropy_curve``).
+    """
 
     hc_curve: list[tuple] | None = None
     gap_surface: list[tuple] | None = None
     psi_surface: list[tuple] | None = None
     entropy_curve: list[tuple] | None = None
-    failures: int = 0
+    failed: list[tuple[float, float | None, str]] = field(default_factory=list)
     points: int = 0
+
+    @property
+    def failures(self) -> int:
+        """Number of failed points."""
+        return len(self.failed)
 
 
 def run_sweep(
@@ -137,20 +149,22 @@ def run_sweep(
         result.hc_curve = rows
 
     if "entropy_curve" in spec.outputs:
+        # Each stage solves the rows the stages before it left standing.
+        solved = [k for k, hc in enumerate(hcs) if not isinstance(hc, NumericsError)]
+        ds = dict(zip(solved, entropy_gap_many(
+            [t_values[k] for k in solved], p, dos, dbox, root, quad, hc=[hcs[k] for k in solved])))
+        solved = [k for k in solved if not isinstance(ds[k], NumericsError)]
+        ds_fd = dict(zip(solved, entropy_gap_fd_many(
+            [t_values[k] for k in solved], p, dos, dbox, root, hc=[hcs[k] for k in solved])))
         rows = []
-        for T, hc in zip(t_values, hcs):
+        for k, T in enumerate(t_values):
             points += 1
-            try:
-                hc = unwrap(hc)
-                rows.append((
-                    T,
-                    hc,
-                    entropy_gap(T, p, dos, dbox, root, quad, hc=hc),
-                    entropy_gap_fd(T, p, dos, dbox, root, hc=hc),
-                ))
-            except NumericsError as exc:
+            row = (T, hcs[k], ds.get(k), ds_fd.get(k))
+            exc = next((v for v in row if isinstance(v, NumericsError)), None)
+            if exc is not None:
                 failed.append((T, None, exc))
-                rows.append((T, math.nan, math.nan, math.nan))
+                row = (T, math.nan, math.nan, math.nan)
+            rows.append(row)
         result.entropy_curve = rows
 
     wants_gap = "gap_surface" in spec.outputs
@@ -190,7 +204,7 @@ def run_sweep(
         if wants_psi:
             result.psi_surface = psi_rows
 
-    result.failures = len(failed)
+    result.failed = [(T, H, str(exc)) for T, H, exc in failed]
     result.points = points
     if points and len(failed) > _FAILURE_BUDGET * points:
         T, H, exc = failed[0]

@@ -13,9 +13,11 @@ box, every quantity of interest is the unique root of F along one axis:
                            the transition temperature.
 
 ``solve_hc_many`` and ``solve_gap_squared_many`` solve a whole batch of
-states with one lockstep root iteration over batched evaluations of F; a
+states with one lockstep root iteration over batched evaluations of F, and
+``implicit_partials_many`` adds one batched evaluation of the partials; a
 state that fails comes back as its error without changing the others.  The
-scalar ``solve_hc`` and ``solve_gap_squared`` are their batch-of-one cases.
+scalar ``solve_hc``, ``solve_gap_squared`` and ``implicit_partials`` are
+their batch-of-one cases.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import F_eval, F_eval_many, F_partials, StatePoint, fermi_delta
+from .kernel import F_eval, F_eval_many, F_partials_many, StatePoint, fermi_delta
 from .numerics import (
     BracketError,
     NumericsError,
@@ -51,6 +53,7 @@ __all__ = [
     "solve_hc",
     "solve_hc_many",
     "implicit_partials",
+    "implicit_partials_many",
     "hc_slope_at_tc",
 ]
 
@@ -113,14 +116,19 @@ def solve_tau1(
 
     The bracket is grown geometrically (factor 2, at most 60 steps each way)
     from the weak-coupling scale ``hbar_omega_D * exp(-1/(2 U1))`` until the
-    sign changes, then handed to the monotone root finder.
+    sign changes, then handed to the monotone root finder.  Each F value is
+    computed once: the expansion and the root finder share the endpoints.
 
     Raises:
         NumericsError: if no sign change appears within the expansion budget
             (pathological parameters).
     """
+    values: dict[float, float] = {}
+
     def g(T: float) -> float:
-        return F_eval(StatePoint(T, 0.0, 0.0), p, quad)
+        if T not in values:
+            values[T] = F_eval(StatePoint(T, 0.0, 0.0), p, quad)
+        return values[T]
 
     seed = p.hbar_omega_D * math.exp(-0.5 / p.U1)
     hi = seed
@@ -274,6 +282,49 @@ def solve_hc(
     return unwrap(solve_hc_many(T, p, dbox, spec, quad)[0])
 
 
+def implicit_partials_many(
+    T,
+    H,
+    p: MaterialParams,
+    dbox: DomainBox,
+    spec: RootSpec | None = None,
+    quad: QuadSpec | None = None,
+    gaps: list[GapSolution | NumericsError] | None = None,
+) -> list[tuple[float, float] | NumericsError]:
+    """:func:`implicit_partials` at a batch of states (T and H broadcast to one length).
+
+    One batched gap solve (skipped when ``gaps`` passes one solution or error
+    per state), then one ``F_partials_many`` over the solved states.
+    Returns one entry per state: its ``(df/dT, df/dH)``, or the
+    ``NumericsError`` of its gap solve or partials, or a
+    ``SingularDerivativeError`` where F_Y = 0.
+
+    Raises:
+        ValueError: naming the argument, for non-finite T or H, T <= 0 or
+            H < 0.
+    """
+    T, H = (a.ravel() for a in np.broadcast_arrays(
+        check_arg("T", T, positive=True), check_arg("H", H)))
+    if gaps is None:
+        gaps = _solve_gaps(T, H, p, dbox, spec, quad)
+    out: list[tuple[float, float] | NumericsError] = list(gaps)
+    solved = [i for i, g in enumerate(gaps) if isinstance(g, GapSolution)]
+    values, errors = F_partials_many(T[solved], H[solved], [gaps[i].Y for i in solved], p, quad)
+    for k, i in enumerate(solved):
+        if k in errors:
+            out[i] = errors[k]
+            continue
+        f_T, f_H, f_Y = (float(v) for v in values[k])
+        if f_Y == 0.0:
+            out[i] = SingularDerivativeError(
+                f"dF/dY = 0 at (T={float(T[i])!r}, H={float(H[i])!r}, Y={gaps[i].Y!r}): "
+                "implicit derivatives undefined"
+            )
+        else:
+            out[i] = (-f_T / f_Y, -f_H / f_Y)
+    return out
+
+
 def implicit_partials(
     T: float,
     H: float,
@@ -289,16 +340,12 @@ def implicit_partials(
     boundary, where f = 0 -- and returns (-F_T/F_Y, -F_H/F_Y).  Both are
     negative on the working box.  ``gap`` may pass a precomputed solution
     for the same (T, H) to skip one root solve.
+
+    Raises:
+        SingularDerivativeError: if F_Y = 0 at the state.
     """
-    if gap is None:
-        gap = solve_gap_squared(T, H, p, dbox, spec, quad)
-    f_T, f_H, f_Y = F_partials(StatePoint(T, H, gap.Y), p, quad)
-    if f_Y == 0.0:
-        raise SingularDerivativeError(
-            f"dF/dY = 0 at (T={T!r}, H={H!r}, Y={gap.Y!r}): implicit "
-            "derivatives undefined"
-        )
-    return -f_T / f_Y, -f_H / f_Y
+    return unwrap(implicit_partials_many(T, H, p, dbox, spec, quad,
+                                         None if gap is None else [gap])[0])
 
 
 def hc_slope_at_tc(

@@ -15,7 +15,9 @@ transition first order.
 ``psi_many`` solves the gaps of a batch of states and integrates all of
 their windows, superconducting and normal, in one breadth-first quadrature;
 ``psi``, ``grand_potential_S`` and ``grand_potential_N`` are batch-of-one
-cases of the same code.
+cases of the same code.  ``entropy_gap_many`` and ``entropy_gap_fd_many``
+evaluate the entropy gap of a batch of temperatures the same way, and
+``entropy_gap`` and ``entropy_gap_fd`` are their batch-of-one cases.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import fermi, log1p_exp_neg
-from .numerics import (
+# ``integrate`` stays importable here: bench/spans.py patches thermo.integrate
+# by name.
+from .numerics import (  # noqa: F401
     NumericsError,
     QuadratureError,
     QuadSpec,
@@ -42,9 +46,9 @@ from .params import DomainBox, MaterialParams, check_arg
 from .solvers import (
     DomainWarning,
     GapSolution,
-    implicit_partials,
+    implicit_partials_many,
     solve_gap_squared_many,
-    solve_hc,
+    solve_hc_many,
 )
 
 __all__ = [
@@ -61,7 +65,9 @@ __all__ = [
     "psi",
     "psi_many",
     "entropy_gap",
+    "entropy_gap_many",
     "entropy_gap_fd",
+    "entropy_gap_fd_many",
 ]
 
 DOS_KINDS = ("constant", "linear", "sqrt", "tabulated")
@@ -306,6 +312,63 @@ def psi(
     return unwrap(psi_many(T, H, p, dos, dbox, spec, quad)[0])
 
 
+def _hc_column(T: np.ndarray, hc, p, dbox, spec, quad) -> list[float | NumericsError]:
+    """H_c at each temperature: the given ``hc`` broadcast to T, or solved."""
+    if hc is None:
+        return solve_hc_many(T, p, dbox, spec, quad)
+    return np.broadcast_to(np.asarray(hc, dtype=float), T.shape).tolist()
+
+
+def entropy_gap_many(
+    T,
+    p: MaterialParams,
+    dos: DosModel,
+    dbox: DomainBox,
+    spec: RootSpec | None = None,
+    quad: QuadSpec | None = None,
+    hc=None,
+) -> list[float | NumericsError]:
+    """:func:`entropy_gap` at a batch of temperatures.
+
+    One batched H_c solve (skipped when ``hc`` passes H_c, a value or one
+    per temperature), one ``implicit_partials_many`` at (T, H_c), then the
+    two edge slivers of every row in one quadrature.  Returns one entry per
+    temperature: its dS, or the ``NumericsError`` of its H_c, its gap, its
+    partials or one of its slivers.
+
+    Raises:
+        ValueError: naming T for a non-finite or non-positive temperature,
+            or from the DOS when a sliver leaves its support.
+    """
+    T = check_arg("T", T, positive=True).ravel()
+    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, quad)
+    ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
+    hcs = np.array([out[i] for i in ok])
+    partials = implicit_partials_many(T[ok], hcs, p, dbox, spec, quad)
+    rows = [k for k, r in enumerate(partials) if not isinstance(r, NumericsError)]
+    s = p.a * hcs[rows] + p.b * hcs[rows] * hcs[rows]
+    h = p.mu_B * hcs[rows]
+    w = p.hbar_omega_D
+    # Sliver 2 j is row j's lower edge I1, sliver 2 j + 1 its upper edge I2.
+    lo = np.column_stack([-w - s - h, w - s - h]).ravel()
+    hi = np.column_stack([-w - s + h, w - s + h]).ravel()
+    s_of = np.repeat(s, 2)
+
+    def edge_weight(xi, k):
+        return dos_eval(dos, xi + p.mu, p) / np.abs(xi + s_of[k, None])
+
+    slivers, errors = integrate_many(edge_weight, lo, hi, quad)
+    for k, r in enumerate(partials):
+        out[ok[k]] = r  # a failed row's error; the others get their dS below
+    for j, k in enumerate(rows):
+        if 2 * j in errors or 2 * j + 1 in errors:
+            out[ok[k]] = errors.get(2 * j, errors.get(2 * j + 1))
+        else:
+            brace = float(slivers[2 * j]) - float(slivers[2 * j + 1])
+            out[ok[k]] = -0.25 * partials[k][0] * brace
+    return out
+
+
 def entropy_gap(
     T: float,
     p: MaterialParams,
@@ -325,26 +388,63 @@ def entropy_gap(
     H_c).  For a constant DOS the two integrals cancel exactly; for an
     increasing DOS the brace is negative and so is dS, making the transition
     first order.  At T = tau1 the slivers are empty and dS = 0.  ``hc`` may
-    pass H_c(T), already solved, to skip that root solve.
+    pass H_c(T), already solved, to skip that root solve.  The batch-of-one
+    case of :func:`entropy_gap_many`.
     """
-    if hc is None:
-        hc = solve_hc(T, p, dbox, spec, quad)
-    df_dT, _ = implicit_partials(T, hc, p, dbox, spec, quad)
-    s = p.a * hc + p.b * hc * hc
-    h = p.mu_B * hc
-    w = p.hbar_omega_D
-
-    def edge_weight(xi):
-        xi = np.asarray(xi, dtype=float)
-        return dos_eval(dos, xi + p.mu, p) / np.abs(xi + s)
-
-    brace = integrate(edge_weight, -w - s - h, -w - s + h, quad) - integrate(
-        edge_weight, w - s - h, w - s + h, quad
-    )
-    return -0.25 * df_dT * brace
+    return unwrap(entropy_gap_many(T, p, dos, dbox, spec, quad, hc)[0])
 
 
 _FD_QUAD = QuadSpec(1e-13, 1e-13)
+
+
+def entropy_gap_fd_many(
+    T,
+    p: MaterialParams,
+    dos: DosModel,
+    dbox: DomainBox,
+    spec: RootSpec | None = None,
+    quad: QuadSpec | None = None,
+    delta_T=None,
+    hc=None,
+) -> list[float | NumericsError]:
+    """:func:`entropy_gap_fd` at a batch of temperatures.
+
+    ``delta_T`` and ``hc`` are a value or one per temperature; without
+    ``hc`` the critical fields are one batched solve.  The three potential
+    gaps of every row are one ``psi_many``.  Returns one entry per
+    temperature: its dS, or the ``NumericsError`` of its H_c or of one of
+    its three potential gaps.
+
+    Raises:
+        ValueError: naming the argument, for a non-finite or non-positive T
+            or a delta_T outside (0, T).
+    """
+    T = check_arg("T", T, positive=True).ravel()
+    steps = 2e-3 * T if delta_T is None else np.broadcast_to(
+        np.asarray(delta_T, dtype=float), T.shape)
+    bad = ~((0 < steps) & (steps < T))
+    if bad.any():
+        raise ValueError(f"delta_T must be in (0, T), got {float(steps[bad][0])!r}")
+    if quad is None:
+        quad = _FD_QUAD
+    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, quad)
+    ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
+    steps_ok = steps[ok].tolist()
+    probes = [x for t, d in zip(T[ok].tolist(), steps_ok) for x in (t, t - d, t - 0.5 * d)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        points = psi_many(probes, np.repeat([out[i] for i in ok], 3), p, dos, dbox, spec, quad)
+    for k, (i, d) in enumerate(zip(ok, steps_ok)):
+        row = points[3 * k:3 * k + 3]
+        failed = [tp for tp in row if isinstance(tp, NumericsError)]
+        if failed:
+            out[i] = failed[0]
+            continue
+        psi_0, psi_1, psi_2 = (tp.psi for tp in row)
+        fd_full = (psi_1 - psi_0) / d
+        fd_half = (psi_2 - psi_0) / (0.5 * d)
+        out[i] = 2.0 * fd_half - fd_full
+    return out
 
 
 def entropy_gap_fd(
@@ -367,20 +467,7 @@ def entropy_gap_fd(
     When T sits at the box lower bound the probe dips just below T0; that
     is deliberate, so the below-T0 warning is suppressed for the probes.
     ``hc`` may pass H_c(T), already solved, to skip that root solve; the
-    three potential gaps are solved as one batch.
+    three potential gaps are solved as one batch.  The batch-of-one case
+    of :func:`entropy_gap_fd_many`.
     """
-    if delta_T is None:
-        delta_T = 2e-3 * T
-    if not 0 < delta_T < T:
-        raise ValueError(f"delta_T must be in (0, T), got {delta_T!r}")
-    if quad is None:
-        quad = _FD_QUAD
-    if hc is None:
-        hc = solve_hc(T, p, dbox, spec, quad)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DomainWarning)
-        points = psi_many([T, T - delta_T, T - 0.5 * delta_T], hc, p, dos, dbox, spec, quad)
-    psi_0, psi_1, psi_2 = (unwrap(tp).psi for tp in points)
-    fd_full = (psi_1 - psi_0) / delta_T
-    fd_half = (psi_2 - psi_0) / (0.5 * delta_T)
-    return 2.0 * fd_half - fd_full
+    return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec, quad, delta_T, hc)[0])

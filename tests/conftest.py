@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bcsfield import MaterialParams, domain_from, solve_tau1
+from bcsfield import MaterialParams, domain_from, numerics, solve_tau1
 
 
 def trapezoid(y, x):
@@ -29,3 +29,20 @@ def dbox(p, tau1):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def integrand_calls(monkeypatch):
+    """A one-element list counting the quadrature's integrand calls."""
+    calls = [0]
+    gk15_many = numerics._gk15_many
+
+    def counted_gk15_many(f, a, b, owner):
+        def counted(*args):
+            calls[0] += 1
+            return f(*args)
+
+        return gk15_many(counted, a, b, owner)
+
+    monkeypatch.setattr(numerics, "_gk15_many", counted_gk15_many)
+    return calls

@@ -33,6 +33,12 @@ def test_tc_with_params_file(capsys, tmp_path):
     assert abs(float(fields["deviation_pct"])) < 2.0
 
 
+def test_coupling_outside_double_range_exits_1(capsys):
+    code, out, err = run(capsys, "--set", "U1=5e-4", "tc")
+    assert code == 1 and out == ""
+    assert "U1" in err and "T must be > 0" not in err
+
+
 def test_tc_json_mode(capsys):
     code, out, _ = run(capsys, "--json", "tc")
     assert code == 0
@@ -293,7 +299,7 @@ def test_check_solves_the_mid_critical_field_once(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("thermo solved H_c again")
 
-    monkeypatch.setattr(bcsfield.thermo, "solve_hc", no_solve)
+    monkeypatch.setattr(bcsfield.thermo, "solve_hc_many", no_solve)
     code, out, _ = run(capsys, "--json", "check", "--samples", "4")
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -327,3 +333,21 @@ def test_sweep_entropy_matches_entropy_command(capsys, tmp_path):
     assert float(row[1]) == float(single["H_c"])
     assert float(row[2]) == float(single["dS_formula"])
     assert float(row[3]) == float(single["dS_fd"])
+
+
+@pytest.mark.filterwarnings("ignore::bcsfield.solvers.DomainWarning")
+def test_sweep_json_lists_each_failed_point(capsys, tmp_path):
+    # H_c(0.69 tau1) exceeds the box cap of T0 = 0.8 tau1: that temperature
+    # fails in both tables (2 of 20 points, inside the 10% budget).  The
+    # other rows lie below T0 too, which warns.
+    code, out, _ = run(capsys, "--json", "-o", str(tmp_path / "s"), "sweep",
+                       "--T-grid", "0.69tau1:0.96tau1:10", "--outputs", "hc_curve,entropy_curve")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failures"] == len(payload["failed"]) == 2
+    for point in payload["failed"]:
+        assert point["H"] is None and "raise T0" in point["error"]
+    with open(tmp_path / "s_entropy.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert float(rows[0][0]) == payload["failed"][0]["T"] and rows[0][1:] == ["nan"] * 3
+    assert all(row[1] != "nan" for row in rows[1:])

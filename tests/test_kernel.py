@@ -219,6 +219,15 @@ def test_F_positive_below_transition(p, tau1, dbox):
         assert F_eval(StatePoint(float(T), 0.0, 0.0), p) > 0.0
 
 
+@pytest.mark.parametrize("T", [1e-6, 1e-8, 1e-10])
+def test_F_at_zero_field_matches_the_low_temperature_closed_form(p, T):
+    # At H = Y = 0 and T << hbar_omega_D, F = 2 ln(2 e^gamma w / (pi T)) - 1/U1
+    # up to O(e^(-w/T)); every E >> T here keeps the full integrand.
+    euler_gamma = 0.5772156649015329
+    ref = 2.0 * math.log(2.0 * math.exp(euler_gamma) * p.hbar_omega_D / (math.pi * T)) - 1.0 / p.U1
+    assert F_eval(StatePoint(T, 0.0, 0.0), p) == pytest.approx(ref, rel=0, abs=1e-12)
+
+
 def test_F_decay_bound_in_Y(p, rng):
     # J <= 1/E <= 1/sqrt(Y) pointwise, so F + 1/U1 <= 2 hbar_omega_D/sqrt(Y).
     for Y in (1e-4, 1e-2, 1.0, 25.0):

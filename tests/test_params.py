@@ -83,6 +83,19 @@ def test_constructor_holds_the_value_or_names_the_field(cls, field, value):
         assert getattr(obj, field) == value
 
 
+@pytest.mark.parametrize("hbar_omega_D, U1", [(1.0, 5e-4), (1.0, 7e-4), (1e300, 0.5 / 710.6)])
+def test_coupling_whose_gap_scales_leave_double_range_is_rejected(hbar_omega_D, U1):
+    # hbar_omega_D e^(-1/(2 U1)) below the smallest normal double, or (last
+    # case, where that scale is about 1e-9) sinh(1/(2 U1)) past the largest.
+    with pytest.raises(ValueError, match=r"\bU1\b"):
+        MaterialParams(hbar_omega_D=hbar_omega_D, U1=U1)
+
+
+def test_coupling_just_inside_double_range_is_kept():
+    # e^(-1/(2 U1)) = e^-704.2, about 5e-306.
+    assert MaterialParams(U1=7.1e-4).U1 == 7.1e-4
+
+
 # ------------------------------------------------------------------- box
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,17 @@ from bcsfield import (
     SweepError,
     SweepResult,
     SweepSpec,
+    DomainWarning,
     dos_linear,
+    entropy_gap,
+    entropy_gap_fd,
+    entropy_gap_fd_many,
     psi,
     run_sweep,
     solve_gap_squared,
     solve_gap_squared_many,
+    solve_hc,
+    solve_hc_many,
     write_csv,
 )
 
@@ -209,3 +216,49 @@ def test_failed_point_leaves_the_other_rows_unchanged(p, dbox):
         tp = psi(T, H, p, dos, cut)
         assert (Y, delta, state) == (tp.gap.Y, tp.gap.delta, "N" if tp.gap.boundary else "S")
         assert (omega_s, omega_n, value) == (tp.omega_S, tp.omega_N, tp.psi)
+
+
+def test_failed_entropy_row_leaves_the_other_rows_unchanged(p, dbox):
+    # Y0 just below the largest squared gap of the finite-difference probes
+    # (T - delta_T, H_c(T)) fails that row's dS_fd alone (1 of 10 rows).
+    spec = SweepSpec(T_grid=(dbox.T0, 0.95 * dbox.tau1, 10), outputs=frozenset({"entropy_curve"}))
+    T = np.linspace(*spec.T_grid).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        probes = [solve_gap_squared(t - 2e-3 * t, hc, p, dbox).Y
+                  for t, hc in zip(T, solve_hc_many(T, p, dbox))]
+    worst = int(np.argmax(probes))
+    second = max(y for k, y in enumerate(probes) if k != worst)
+    cut = DomainBox(T0=dbox.T0, tau1=dbox.tau1, H_max=dbox.H_max, Y0=0.5 * (probes[worst] + second))
+    dos = dos_linear(1.0, 0.5)
+    result = run_sweep(spec, p, dos, cut)
+    hc_worst = solve_hc(T[worst], p, cut)
+    reason = str(entropy_gap_fd_many(T[worst], p, dos, cut, hc=hc_worst)[0])
+    assert result.failed == [(T[worst], None, reason)] and "no root in bracket" in reason
+    assert all(math.isnan(v) for v in result.entropy_curve[worst][1:])
+    for k, (t, hc, ds, ds_fd) in enumerate(result.entropy_curve):
+        if k != worst:
+            assert hc == solve_hc(t, p, cut)
+            assert (ds, ds_fd) == (entropy_gap(t, p, dos, cut, hc=hc),
+                                   entropy_gap_fd(t, p, dos, cut, hc=hc))
+    # The probe gap grows with T, so the sweep fails its last row; a batch
+    # may hold the failed row between two others.
+    order = [0, worst, 1]
+    out = entropy_gap_fd_many([T[k] for k in order], p, dos, cut,
+                              hc=[solve_hc(T[k], p, cut) for k in order])
+    assert str(out[1]) == reason
+    assert [out[0], out[2]] == [result.entropy_curve[0][3], result.entropy_curve[1][3]]
+
+
+def test_entropy_sweep_work_does_not_grow_with_rows(p, dbox, integrand_calls):
+    # All rows share each batched quadrature level, so the integrand calls
+    # stay near those of one row while the panels grow with the row count.
+    def calls(n):
+        integrand_calls[0] = 0
+        spec = SweepSpec(T_grid=(dbox.T0, 0.95 * dbox.tau1, n), outputs=frozenset({"entropy_curve"}))
+        run_sweep(spec, p, dos_linear(1.0, 0.5), dbox)
+        return integrand_calls[0]
+
+    three, ten = calls(3), calls(10)
+    assert three <= 150
+    assert ten <= 200 and ten <= 1.2 * three

@@ -17,7 +17,9 @@ from bcsfield import (
     dos_linear,
     psi,
     hc_slope_at_tc,
+    SingularDerivativeError,
     implicit_partials,
+    implicit_partials_many,
     solve_gap_squared,
     solve_hc,
     solve_tau1,
@@ -48,6 +50,20 @@ def test_tau1_residual_within_tolerance(p, tau1):
 def test_tau1_rejects_invalid_params():
     with pytest.raises(ValueError):
         solve_tau1(MaterialParams(U1=-1.0))
+
+
+@pytest.mark.parametrize("U1", [0.025, 0.03])
+def test_tau1_at_weak_coupling_matches_the_closed_form(U1):
+    # tau1 near 1e-9 hbar_omega_D: the bracket seeds E << hbar_omega_D states.
+    q = MaterialParams(U1=U1)
+    ref = 2.0 * math.exp(0.5772156649015329) / math.pi * q.hbar_omega_D * math.exp(-0.5 / U1)
+    assert solve_tau1(q, RootSpec(x_tol=1e-12 * ref)) == pytest.approx(ref, rel=1e-9)
+
+
+def test_tau1_evaluates_each_F_once(p, integrand_calls):
+    # 9 distinct F states; the bracket and the root iterates share endpoints.
+    solve_tau1(p)
+    assert integrand_calls[0] <= 53
 
 
 def test_tau1_strong_coupling_expansion(p):
@@ -363,3 +379,21 @@ def test_failed_state_leaves_its_neighbours_unchanged(p, tau1, dbox):
     points = psi_many(T, H, p, dos_linear(1.0, 0.5), cut)
     assert isinstance(points[0], BracketError)
     assert [tp.gap for tp in points[1:]] == gaps[1:]
+
+
+def test_zero_F_Y_fails_its_state_alone(p, tau1, dbox, monkeypatch):
+    import bcsfield.solvers as solvers
+
+    F_partials_many = solvers.F_partials_many
+
+    def singular_first(T, H, Y, p, quad=None):
+        values, errors = F_partials_many(T, H, Y, p, quad)
+        values[0, 2] = 0.0
+        return values, errors
+
+    monkeypatch.setattr(solvers, "F_partials_many", singular_first)
+    T, H = [dbox.T0, 0.9 * tau1], [0.0, 0.5 * solve_hc(0.9 * tau1, p, dbox)]
+    out = implicit_partials_many(T, H, p, dbox)
+    assert isinstance(out[0], SingularDerivativeError)
+    monkeypatch.undo()
+    assert out[1] == implicit_partials(T[1], H[1], p, dbox)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsfield import (
     GapSolution,
@@ -12,6 +14,8 @@ from bcsfield import (
     dos_tabulated,
     entropy_gap,
     entropy_gap_fd,
+    entropy_gap_fd_many,
+    entropy_gap_many,
     grand_potential_N,
     grand_potential_S,
     integrate,
@@ -277,6 +281,23 @@ def test_entropy_sign_structure(p, dbox):
     ds = entropy_gap(T, p, dos_linear(1.0, 0.5), dbox)
     brace = ds / (-0.25 * df_dT)
     assert df_dT < 0.0 and brace < 0.0 and ds < 0.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["constant", "linear", "sqrt"]),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_batched_entropy_rows_equal_scalar_calls(p, dbox, kind, fracs):
+    dos = {"constant": dos_constant(), "linear": dos_linear(1.0, 0.5), "sqrt": dos_sqrt()}[kind]
+    T = [dbox.T0 + u * (dbox.tau1 - dbox.T0) for u in fracs]
+    rows = zip(T, entropy_gap_many(T, p, dos, dbox), entropy_gap_fd_many(T, p, dos, dbox))
+    for t, ds, ds_fd in rows:
+        assert ds == entropy_gap(t, p, dos, dbox)
+        assert ds_fd == entropy_gap_fd(t, p, dos, dbox)
+
+
+def test_batched_entropy_of_no_rows(p, dbox):
+    assert entropy_gap_many([], p, dos_linear(), dbox) == []
+    assert entropy_gap_fd_many([], p, dos_linear(), dbox) == []
 
 
 def test_entropy_fd_step_validation(p, dbox):
