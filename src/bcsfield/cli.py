@@ -44,7 +44,8 @@ from .thermo import (
 __all__ = ["main", "CliConfig"]
 
 # Reference coefficient of the weak-coupling transition-temperature
-# asymptote tau1 ~ 1.134 * hbar_omega_D * exp(-1/(2 U1)).
+# asymptote tau1 ~ 1.134 * hbar_omega_D * exp(-1/(2 U1)): `tc` reports its
+# deviation from this rounded 2 e^gamma / pi (solvers.TAU1_WEAK_COUPLING).
 WEAK_COUPLING_COEFF = 1.134
 
 

@@ -10,9 +10,12 @@ intervals breadth-first: each refinement level hands every unconverged
 panel of every interval to the integrand in one call, and accepts exactly
 the panels a depth-first bisection with the same tolerance split would.
 :func:`find_root_decreasing_many` steps many bracketed roots in lockstep,
-each taking the iterates it would take alone.  An interval or root that
-fails comes back as its error without changing the others, so a batch
-result never depends on what else was in the batch.  :func:`integrate` and
+each taking the iterates it would take alone: Chandrupatla's hybrid of
+inverse quadratic interpolation and bisection (T. R. Chandrupatla, Adv. Eng.
+Softw. 28 (1997) 145-149), which needs no derivatives, with a rule that
+halves the bracket at least once in every three iterations.  An interval or
+root that fails comes back as its error without changing the others, so a
+batch result never depends on what else was in the batch.  :func:`integrate` and
 :func:`find_root_decreasing` are the batch-of-one cases.
 
 Integrands passed to :func:`integrate` must be vectorized: they receive a
@@ -91,8 +94,8 @@ MIN_REL_TOL = 1e-15
 # at this depth fails its interval.
 MAX_DEPTH = 50
 
-# Iteration limit of a bracketed root solve.  With a bisection step every
-# fourth iteration it guarantees 50 halvings of the bracket.
+# Iteration limit of a bracketed root solve.  The bracket halves at least
+# once in every three iterations, so the limit guarantees 66 halvings.
 MAX_ITER = 200
 
 
@@ -389,8 +392,12 @@ def find_root_decreasing_many(
     points ``x`` and returns ``(values, errors)``, with ``errors`` a dict from
     position in ``idx`` to the ``NumericsError`` that failed it.  Each
     function takes exactly the iterates :func:`find_root_decreasing` takes
-    for it alone: both endpoints first, then Illinois-damped false position
-    with a bisection step every fourth iteration, never outside [lo, hi].
+    for it alone: both endpoints first, then a false-position step, then
+    Chandrupatla's steps.  Each of those is an inverse quadratic
+    interpolation through the bracket ends and the point last replaced when
+    it is monotone on the bracket, else a bisection; a bracket that has not
+    halved over the last two steps is bisected.  Every step lands at least
+    x_tol / 2 inside the bracket, and nothing is evaluated outside [lo, hi].
 
     Returns:
         One entry per function: a ``RootResult`` with ``|residual| <=
@@ -438,33 +445,51 @@ def find_root_decreasing_many(
     for i in np.flatnonzero(live & (g_hi > 0.0) & (g_hi <= spec.f_tol)):
         out[idx[i]] = RootResult(float(hi[idx[i]]), float(g_hi[i]), 0)
     live &= ~(g_hi > 0.0)
-    idx, a, fa, b, fb = idx[live], a[live], fa[live], hi[idx[live]], g_hi[live]
-    side = np.zeros(idx.size, dtype=int)  # +1 / -1: which endpoint the last update replaced
+    idx, x1, f1, x2, f2 = idx[live], a[live], fa[live], hi[idx[live]], g_hi[live]
+    # Chandrupatla's state: x1 is the newest point, x2 the bracket end of the
+    # opposite sign and x3 the point x1 replaced.  The first step is false
+    # position.
+    with np.errstate(all="ignore"):
+        t = f1 / (f1 - f2)
+    width = x2 - x1
+    past = np.full((2, idx.size), np.inf)  # the widths one and two steps back
     for it in range(1, MAX_ITER + 1):
         if not idx.size:
             break
-        bisect = 0.5 * (a + b)
-        if it % 4 == 0:
-            x = bisect
-        else:
-            x = b - fb * (b - a) / (fb - fa)
-            x = np.where((a < x) & (x < b), x, bisect)
+        # Every step lands at least x_tol / 2 inside the bracket, so a point
+        # that converges from one side closes the bracket around the root.
+        tlim = 0.5 * spec.x_tol / width
+        x = x1 + np.clip(t, tlim, 1.0 - tlim) * (x2 - x1)
+        inside = (np.minimum(x1, x2) < x) & (x < np.maximum(x1, x2))
+        x = np.where(inside, x, 0.5 * (x1 + x2))
         fx, live = evaluate(idx, x)
-        hit = live & (np.abs(fx) <= spec.f_tol)
-        up = fx > 0.0
-        fb = np.where(up, np.where(side == 1, 0.5 * fb, fb), fx)
-        fa = np.where(up, fx, np.where(side == -1, 0.5 * fa, fa))
-        a, b = np.where(up, x, a), np.where(up, b, x)
-        side = np.where(up, 1, -1)
-        hit |= live & (b - a <= spec.x_tol)
+        same = (fx > 0.0) == (f1 > 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+        past = np.stack([width, past[0]])
+        width = np.abs(x2 - x1)
+        hit = live & ((np.abs(fx) <= spec.f_tol) | (width <= spec.x_tol))
         for i in np.flatnonzero(hit):
             out[idx[i]] = RootResult(float(x[i]), float(fx[i]), it)
+        # Inverse quadratic interpolation where Chandrupatla's test finds it
+        # monotone on the bracket, else bisection.  A bracket that has not
+        # halved over the last two steps is bisected, so it halves at least
+        # once in every three.
+        with np.errstate(all="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        t = np.where(iqi & (width <= 0.5 * past[1]), t, 0.5)
         live &= ~hit
-        idx, a, fa, b, fb, side = idx[live], a[live], fa[live], b[live], fb[live], side[live]
+        idx, x1, f1, x2, f2, t, width = (v[live] for v in (idx, x1, f1, x2, f2, t, width))
+        past = past[:, live]
     for i in range(idx.size):
         out[idx[i]] = NumericsError(
             f"root iteration limit ({MAX_ITER}) exhausted; "
-            f"bracket [{float(a[i])!r}, {float(b[i])!r}]"
+            f"bracket [{float(min(x1[i], x2[i]))!r}, {float(max(x1[i], x2[i]))!r}]"
         )
     return out
 
@@ -480,8 +505,9 @@ def find_root_decreasing(
     The batch-of-one case of :func:`find_root_decreasing_many`.  Both
     endpoints are evaluated up front; nothing is assumed.  The bracket
     always retains a sign change, and g is never evaluated outside [lo, hi].
-    Iteration uses secant (Illinois-damped false position) steps with a
-    bisection step every fourth iteration as a worst-case guarantee.
+    Iteration takes a false-position step, then inverse quadratic steps
+    where Chandrupatla's test allows them and bisections elsewhere; the
+    bracket halves at least once in every three iterations.
 
     Returns:
         RootResult with ``|residual| <= f_tol`` or a final bracket width

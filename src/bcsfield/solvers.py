@@ -30,6 +30,7 @@ import numpy as np
 
 from .kernel import F_eval, F_eval_many, F_partials_many, StatePoint, fermi_delta
 from .numerics import (
+    DEFAULT_ROOT,
     BracketError,
     NumericsError,
     QuadSpec,
@@ -106,6 +107,9 @@ class GapSolution:
 
 _EXPANSION_LIMIT = 60
 
+# Weak-coupling ratio tau1 / (hbar_omega_D e^(-1/(2 U1))) = 2 e^gamma / pi.
+TAU1_WEAK_COUPLING = 2.0 * math.exp(np.euler_gamma) / math.pi
+
 
 def solve_tau1(
     p: MaterialParams,
@@ -114,15 +118,25 @@ def solve_tau1(
 ) -> float:
     """Zero-field transition temperature: the root of F(T, 0, 0) in T.
 
-    The bracket is grown geometrically (factor 2, at most 60 steps each way)
-    from the weak-coupling scale ``hbar_omega_D * exp(-1/(2 U1))`` until the
-    sign changes, then handed to the monotone root finder.  Each F value is
-    computed once: the expansion and the root finder share the endpoints.
+    At H = Y = 0 the gap equation is exactly
+
+        F(T, 0, 0) = 2 ln(T_s / T) + 2 I(hbar_omega_D / (2 T)),
+        T_s = (2 e^gamma / pi) hbar_omega_D e^(-1/(2 U1)),
+
+    with the positive tail I(u) = integral from u to infinity of
+    (1 - tanh x) / x dx.  The weak-coupling value T_s is therefore the seed
+    and a lower bracket end: it is returned when ``|F(T_s)| <= f_tol``.
+    Otherwise the upper end starts at ``T_s e^min(F(T_s), 1)``, just above
+    the root when F(T_s) is small, and doubles (at most 60 times) until F is
+    negative; the lower end halves from T_s until F is positive.  Each F value
+    is computed once: the expansion and the root finder share the endpoints.
 
     Raises:
         NumericsError: if no sign change appears within the expansion budget
             (pathological parameters).
     """
+    if spec is None:
+        spec = DEFAULT_ROOT
     values: dict[float, float] = {}
 
     def g(T: float) -> float:
@@ -130,15 +144,19 @@ def solve_tau1(
             values[T] = F_eval(StatePoint(T, 0.0, 0.0), p, quad)
         return values[T]
 
-    seed = p.hbar_omega_D * math.exp(-0.5 / p.U1)
-    hi = seed
+    seed = TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
+    if abs(g(seed)) <= spec.f_tol:
+        return seed
+    # F(T_s) is the positive tail; a negative value is quadrature error, and
+    # the bracket then grows downward from T_s.
+    hi = seed * math.exp(min(max(g(seed), 0.0), 1.0))
     for _ in range(_EXPANSION_LIMIT):
         if g(hi) < 0.0:
             break
         hi *= 2.0
     else:
         raise NumericsError("tau1 bracket expansion failed upward: F stays positive")
-    lo = min(seed, 0.5 * hi)
+    lo = seed
     for _ in range(_EXPANSION_LIMIT):
         if g(lo) > 0.0:
             break

@@ -199,6 +199,64 @@ def test_monotone_cubic_roots(root, scale):
     assert result.root == pytest.approx(root, abs=1e-4)
 
 
+def _ninth_power(x):
+    return -(x - 0.3) ** 9
+
+
+def _kink(x):
+    # Slopes 1 and 1e6 on either side of the root.
+    return 0.3 - x if x < 0.3 else 1e6 * (0.3 - x)
+
+
+def _reciprocal(x):
+    return 1.0 / x - 1.0 / 0.3
+
+
+def _cubic(x):
+    return -((x - 0.3) ** 3 + 0.2 * (x - 0.3))
+
+
+@pytest.mark.parametrize("g, lo, hi, budget", [
+    # Illinois false position took 183, 182 and 43 evaluations.
+    (_ninth_power, -1.0, 2.0, 60),
+    (_kink, -1.0, 2.0, 60),
+    (_reciprocal, 1e-9, 100.0, 20),
+])
+def test_hard_monotone_roots_within_an_evaluation_budget(g, lo, hi, budget):
+    seen = []
+    spec = RootSpec(x_tol=1e-14, f_tol=1e-300)
+    result = find_root_decreasing(lambda x: seen.append(x) or g(x), lo, hi, spec)
+    assert result.root == pytest.approx(0.3, abs=1e-14)
+    assert len(seen) <= budget
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (_ninth_power, -1.0, 2.0), (_kink, -1.0, 2.0), (_reciprocal, 1e-9, 100.0),
+    # Chandrupatla's steps alone leave this bracket above half its width
+    # for three iterations in a row.
+    (_cubic, -1.0, 1.0),
+])
+def test_bracket_halves_at_least_once_in_every_three_iterations(g, lo, hi):
+    # The bracket after each iterate: the largest point with g > 0 and the
+    # smallest with g < 0 seen so far.
+    seen = []
+    find_root_decreasing(lambda x: seen.append((x, g(x))) or seen[-1][1], lo, hi,
+                         RootSpec(x_tol=1e-14, f_tol=1e-300))
+    a, b = lo, hi
+    widths = [b - a]
+    for x, gx in seen[2:]:
+        a, b = (max(a, x), b) if gx > 0.0 else (a, min(b, x))
+        widths.append(b - a)
+    assert all(widths[k + 3] <= 0.5 * widths[k] for k in range(len(widths) - 3))
+
+
+def test_step_function_root_is_its_jump():
+    # Repeated g values make the interpolation step divide by zero; it falls
+    # back to bisection (a RuntimeWarning fails the suite).
+    result = find_root_decreasing(lambda x: 1.0 if x < 0.3 else -1.0, 0.0, 1.0)
+    assert result.root == pytest.approx(0.3, abs=1e-12)
+
+
 def test_max_iter_exhaustion(monkeypatch):
     monkeypatch.setattr(numerics, "MAX_ITER", 5)
     spec = RootSpec(x_tol=1e-300, f_tol=1e-300)

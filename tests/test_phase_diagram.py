@@ -262,3 +262,13 @@ def test_entropy_sweep_work_does_not_grow_with_rows(p, dbox, integrand_calls):
     three, ten = calls(3), calls(10)
     assert three <= 150
     assert ten <= 200 and ten <= 1.2 * three
+
+
+def test_phase_sweep_work(p, dbox, integrand_calls):
+    # A 10 x 10 hc + gap + psi sweep: three batched solves, each a few
+    # root iterations of a few quadrature levels (154 calls under Illinois
+    # false position).
+    spec = SweepSpec(T_grid=(dbox.T0, dbox.tau1, 10), H_grid="auto",
+                     outputs=frozenset({"hc_curve", "gap_surface", "psi_surface"}))
+    run_sweep(spec, p, dos_linear(1.0, 0.5), dbox)
+    assert integrand_calls[0] <= 120

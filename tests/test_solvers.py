@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcsfield import (
@@ -26,7 +26,7 @@ from bcsfield import (
 )
 from bcsfield.kernel import F_eval_many
 from bcsfield.numerics import BracketError, NumericsError, RootSpec
-from bcsfield.solvers import solve_gap_squared_many, solve_hc_many
+from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_gap_squared_many, solve_hc_many
 from bcsfield.thermo import psi_many
 
 
@@ -57,21 +57,34 @@ def test_tau1_at_weak_coupling_matches_the_closed_form(U1):
     # tau1 near 1e-9 hbar_omega_D: the bracket seeds E << hbar_omega_D states.
     q = MaterialParams(U1=U1)
     ref = 2.0 * math.exp(0.5772156649015329) / math.pi * q.hbar_omega_D * math.exp(-0.5 / U1)
-    assert solve_tau1(q, RootSpec(x_tol=1e-12 * ref)) == pytest.approx(ref, rel=1e-9)
+    assert solve_tau1(q, RootSpec(x_tol=1e-12 * ref)) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+def test_tau1_at_weak_coupling_is_the_seed():
+    # With the default RootSpec (x_tol = 1e-12, near tau1 itself) the seed
+    # (2 e^gamma / pi) hbar_omega_D e^(-1/(2 U1)) is the root to within f_tol.
+    q = MaterialParams(U1=0.02)
+    ref = 2.0 * math.exp(0.5772156649015329) / math.pi * q.hbar_omega_D * math.exp(-0.5 / q.U1)
+    assert solve_tau1(q) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_tau1_evaluates_each_F_once(p, integrand_calls):
-    # 9 distinct F states; the bracket and the root iterates share endpoints.
+    # At U1 = 0.15 the seed is the root: one F state.
     solve_tau1(p)
-    assert integrand_calls[0] <= 53
+    assert integrand_calls[0] <= 8
 
 
-def test_tau1_strong_coupling_expansion(p):
-    # Far from the weak-coupling seed, so the geometric bracket growth runs.
-    strong = MaterialParams(U1=0.8)
-    t1 = solve_tau1(strong)
-    assert t1 > solve_tau1(MaterialParams(U1=0.3))
-    assert abs(F_eval(StatePoint(t1, 0.0, 0.0), strong)) <= 1e-10
+def test_tau1_strong_coupling_expansion():
+    # Far from the weak-coupling seed T_s.  At U1 = 3 even the largest upper
+    # start T_s e (for F(T_s) >= 1) lies below tau1, so the doubling runs.
+    previous = solve_tau1(MaterialParams(U1=0.3))
+    for U1 in (0.8, 3.0):
+        strong = MaterialParams(U1=U1)
+        t1 = solve_tau1(strong)
+        assert t1 > previous
+        assert abs(F_eval(StatePoint(t1, 0.0, 0.0), strong)) <= 1e-10
+        previous = t1
+    assert previous > math.e * TAU1_WEAK_COUPLING * math.exp(-0.5 / 3.0)
 
 
 # ------------------------------------------------------------------- gap
@@ -107,6 +120,11 @@ def test_gap_positive_inside_and_zero_beyond(p, tau1, dbox):
     assert abs(inside.residual) <= 1e-10
     beyond = solve_gap_squared(T, min(1.05 * hc, dbox.H_max), p, dbox)
     assert beyond.boundary and beyond.Y == 0.0
+
+
+def test_gap_takes_few_iterations(p, tau1, dbox):
+    # Inverse quadratic steps: 5 iterations (7 under Illinois false position).
+    assert solve_gap_squared(0.9 * tau1, 0.0, p, dbox).iterations <= 6
 
 
 def test_gap_warns_outside_guarantee_zone(p, dbox):
@@ -364,6 +382,57 @@ def test_batched_solvers_match_scalar_calls(p, dbox, fracs):
             one = psi(t, h, p, dos, dbox)
             assert (tp.omega_S, tp.omega_N, tp.psi) == (one.omega_S, one.omega_N, one.psi)
             assert tp.gap == gap
+
+
+def _is_root(g, x, lo, hi, spec=RootSpec()):
+    """x is a root of the decreasing g: |g(x)| <= f_tol, or g changes sign
+    within x_tol of x (the final bracket of width <= x_tol holds x)."""
+    if abs(g(x)) <= spec.f_tol:
+        return True
+    return g(max(x - spec.x_tol, lo)) > 0.0 >= g(min(x + spec.x_tol, hi))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4))
+def test_solvers_return_a_root_or_an_error(p, dbox, fracs):
+    T = [dbox.T0 + u * (dbox.tau1 - dbox.T0) for u, _ in fracs]
+    H = [v * dbox.H_max for _, v in fracs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        gaps = solve_gap_squared_many(T, H, p, dbox)
+    for t, h, gap in zip(T, H, gaps):
+        if isinstance(gap, NumericsError):
+            continue
+        assert not any(map(math.isnan, (gap.Y, gap.delta, gap.residual)))
+        F = lambda y: F_eval(StatePoint(t, h, y), p)
+        if gap.boundary:
+            assert gap.Y == 0.0 and gap.residual == F(0.0) <= 1e-10
+        else:
+            assert _is_root(F, gap.Y, 0.0, dbox.Y0)
+    for t, hc in zip(T, solve_hc_many(T, p, dbox)):
+        if isinstance(hc, NumericsError):
+            continue
+        assert not math.isnan(hc)
+        F = lambda h: F_eval(StatePoint(t, h, 0.0), p)
+        if hc == 0.0:
+            assert F(0.0) <= 1e-10
+        else:
+            assert _is_root(F, hc, 0.0, dbox.H_max)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.02, 1.0))
+# At U1 = 1e-3 the quadrature gives F(T_s) = -986 (its exact value is >= 0),
+# and T_s e^F(T_s) would underflow to T = 0.
+@example(1e-3)
+def test_tau1_is_a_root_or_an_error(U1):
+    q = MaterialParams(U1=U1)
+    try:
+        t1 = solve_tau1(q)
+    except NumericsError:
+        return
+    assert not math.isnan(t1)
+    assert _is_root(lambda t: F_eval(StatePoint(t, 0.0, 0.0), q), t1, 0.5 * t1, 2.0 * t1)
 
 
 def test_failed_state_leaves_its_neighbours_unchanged(p, tau1, dbox):
