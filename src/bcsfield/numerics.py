@@ -15,8 +15,9 @@ inverse quadratic interpolation and bisection (T. R. Chandrupatla, Adv. Eng.
 Softw. 28 (1997) 145-149), which needs no derivatives, with a rule that
 halves the bracket at least once in every three iterations.  An interval or
 root that fails comes back as its error without changing the others, so a
-batch result never depends on what else was in the batch.  :func:`integrate` and
-:func:`find_root_decreasing` are the batch-of-one cases.
+batch result never depends on what else was in the batch.
+:func:`integrate` and :func:`find_root_decreasing` are the batch-of-one
+cases.
 
 Integrands passed to :func:`integrate` must be vectorized: they receive a
 one-dimensional ``numpy`` array of abscissas and must return an array of the
