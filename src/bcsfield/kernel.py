@@ -170,15 +170,34 @@ def _states(T, H, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         check_arg("T", T, positive=True), check_arg("H", H), check_arg("Y", Y)))
 
 
+def zeeman_edges(s, h, Y):
+    """xi of the Zeeman edges E = h, at -s -+ sqrt(h^2 - Y); NaN where h^2 <= Y.
+
+    Returns the (lower, upper) pair, each shaped like the broadcast inputs.
+    """
+    excess = h * h - Y
+    r = np.where(excess > 0, np.sqrt(np.abs(excess)), np.nan)
+    return -s - r, -s + r
+
+
 def _integrate_states(pointwise, T, H, Y, p: MaterialParams, quad: QuadSpec | None):
-    """Integrate ``pointwise(T, H, Y, xi, p)`` over the pairing window for every state."""
+    """Integrate ``pointwise(T, H, Y, xi, p)`` over the pairing window for every state.
+
+    The quadrature starts graded toward xi = -s, where J's poles nearest the
+    real axis sit hypot(pi T, sqrt(Y)) off it, and toward the Zeeman edges
+    (width pi T).
+    """
     T, H, Y = _states(T, H, Y)
     w = p.hbar_omega_D
+    s = _shift(H, p)
+    cuts = np.array([-s, *zeeman_edges(s, p.mu_B * H, Y)]).T
+    pi_T = np.pi * T
+    scales = np.array([np.hypot(pi_T, np.sqrt(Y)), pi_T, pi_T]).T
 
     def f(xi, i):
         return pointwise(T[i, None], H[i, None], Y[i, None], xi, p)
 
-    return integrate_many(f, np.full(T.size, -w), np.full(T.size, w), quad)
+    return integrate_many(f, np.full(T.size, -w), np.full(T.size, w), quad, (cuts, scales))
 
 
 def F_eval_many(

@@ -9,6 +9,9 @@ Both algorithms work on batches.  :func:`integrate_many` refines many
 intervals breadth-first: each refinement level hands every unconverged
 panel of every interval to the integrand in one call, and accepts exactly
 the panels a depth-first bisection with the same tolerance split would.
+Its first level is one panel per interval, or panels graded geometrically
+toward the points where the caller knows the integrand changes fast
+(L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56 (2014) 385-458).
 :func:`find_root_decreasing_many` steps many bracketed roots in lockstep,
 each taking the iterates it would take alone: Chandrupatla's hybrid of
 inverse quadratic interpolation and bisection (T. R. Chandrupatla, Adv. Eng.
@@ -241,19 +244,105 @@ def _gk15_many(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     return np.concatenate(est), np.concatenate(err), components
 
 
+def _level0_budget(est, owner, a, b, lo, hi, spec):
+    """The tolerance of each level-0 panel's interval and the panel's share of it.
+
+    Both are (k, c).  ``tol = max(abs_tol, rel_tol * |sum of the interval's
+    level-0 estimates|)``; the share is half the panel's share of the
+    interval's width plus half its share of the sum of the level-0
+    estimates' absolute values (the width share alone where that sum is 0).
+    The shares of an interval sum to 1, and one panel per interval gets
+    exactly 1.
+    """
+    c = est.shape[1]
+    mag = np.abs(est)
+    sums = np.zeros((lo.size, 2 * c))
+    np.add.at(sums, owner, np.concatenate([est, mag], axis=1))
+    sums = sums[owner]
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sums[:, :c]))
+    width = np.repeat(((b - a) / (hi - lo)[owner])[:, None], c, axis=1)
+    by_value = np.divide(mag, sums[:, c:], out=width.copy(), where=sums[:, c:] > 0)
+    return tol, 0.5 * width + 0.5 * by_value
+
+
+def _level0(lo, hi, features):
+    """The level-0 panels ``(owner, a, b)``, sorted by owner and then position.
+
+    Without features, one panel per interval with lo < hi.  With them, each
+    interval is cut at its feature points and at the midpoints between
+    neighbouring ones, and each feature point's cell (the part of the
+    interval nearer to it than to the others) at ``cut +- scale * 2**(k -
+    1)`` for k = 0, 1, ... out to the cell's farther end, so that the panel
+    widths grow geometrically away from each cut.
+    """
+    if features is None:
+        owner = np.flatnonzero(lo < hi)
+        return owner, lo[owner], hi[owner]
+    cuts, scales = (np.asarray(v, dtype=float) for v in features)
+    if cuts.ndim != 2 or cuts.shape != scales.shape or cuts.shape[0] != lo.size:
+        raise ValueError(
+            f"features need cuts and scales of one shape ({lo.size}, c), "
+            f"got {cuts.shape} and {scales.shape}"
+        )
+    if np.any(np.isinf(cuts) | (~np.isnan(cuts) & ~(scales > 0))):
+        raise ValueError("features need finite cuts (NaN if absent) and scales > 0")
+    m, c = cuts.shape
+    # Cell of each cut: from the midpoint with the next cut below to that
+    # with the next cut above, within the interval.  NaN compares false, so
+    # absent cuts bound no cell.
+    mid = 0.5 * (cuts[:, :, None] + cuts[:, None, :])
+    below = np.where(cuts[:, None, :] < cuts[:, :, None], mid, -np.inf).max(axis=2)
+    above = np.where(cuts[:, None, :] > cuts[:, :, None], mid, np.inf).min(axis=2)
+    a, b = lo[:, None], hi[:, None]
+    below = np.minimum(np.maximum(below, a), b)
+    above = np.minimum(np.maximum(above, a), b)
+    # Steps below and above each cut.  With reach = r 2**e_r and scale =
+    # q 2**e_s (r, q in [1/2, 1)), the step at k = e_r - e_s + 2 exceeds the
+    # reach: count k = 0 ... that k, and at least k = 0 (which clips to the
+    # cell's end), but none on a side where the cell is empty.
+    reach = np.stack([cuts - below, above - cuts])
+    count = np.frexp(reach)[1] - np.frexp(scales)[1] + 3
+    count = np.where(reach > 0, np.maximum(count, 1), 0).ravel()
+    n = m * c
+    side = np.repeat(np.arange(2 * n), count)
+    k = np.arange(side.size) - (np.cumsum(count) - count)[side]
+    cut = side % n
+    step = np.ldexp(np.where(side < n, -0.5, 0.5) * scales.ravel()[cut], k)
+    # Points past a cell's ends clip to them (the midpoints and the interval
+    # ends), where they make no panel; absent cuts stay NaN and sort last.
+    of = np.concatenate([np.arange(n), cut])
+    x = np.concatenate([cuts.ravel(), cuts.ravel()[cut] + step])
+    x = np.minimum(np.maximum(x, below.ravel()[of]), above.ravel()[of])
+    interval = np.arange(m)
+    x = np.concatenate([lo, hi, x])
+    who = np.concatenate([interval, interval, of // c])
+    # By interval, then position: np.lexsort((x, who)) in two faster passes.
+    order = np.argsort(x)
+    order = order[np.argsort(who[order], kind="stable")]
+    x, who = x[order], who[order]
+    panel = (who[1:] == who[:-1]) & (x[1:] > x[:-1])
+    return who[:-1][panel], x[:-1][panel], x[1:][panel]
+
+
 def integrate_many(
-    f: Callable, lo, hi, spec: QuadSpec | None = None
+    f: Callable, lo, hi, spec: QuadSpec | None = None, features=None
 ) -> tuple[np.ndarray, dict[int, QuadratureError]]:
     """Integrate one vectorized integrand over many intervals at once.
 
     Breadth-first adaptive Gauss-Kronrod: every unconverged panel of every
-    interval at one refinement level goes to the integrand in one call.  The
-    acceptance rule is that of a depth-first bisection: with
-    ``tol = max(abs_tol, rel_tol * |first estimate|)`` per interval, a panel
-    at depth d is accepted when its Kronrod-Gauss difference is at most
-    ``tol * 2**-d``, and is otherwise split in half.  The accepted panels and
-    the result of an interval therefore do not depend on the other intervals
-    of the batch.
+    interval at one refinement level goes to the integrand in one call.
+    Level 0 is one panel per interval, or with ``features`` a partition
+    graded geometrically toward each interval's feature points (see
+    below).  Each level-0 panel gets a fraction of the interval's tolerance
+    ``tol = max(abs_tol, rel_tol * |sum of its level-0 estimates|)``:
+    half of its share of the interval's width plus half of its share of the
+    level-0 estimates' absolute values (all of its width share when those
+    are all zero), so the fractions sum to 1.  A panel is accepted when its
+    Kronrod-Gauss difference is at most ``tol`` times its fraction, and is
+    otherwise split in half, each half getting half the fraction.  With
+    one level-0 panel this is a depth-first bisection's rule ``tol *
+    2**-depth``.  The accepted panels and the result of an interval
+    therefore do not depend on the other intervals of the batch.
 
     Args:
         f: ``f(x, owner)`` with ``x`` a (k, 15) array of abscissas and
@@ -263,6 +352,16 @@ def integrate_many(
             meets its own tolerance).
         lo, hi: 1-d arrays of bounds, ``lo <= hi`` elementwise.
         spec: Tolerances; defaults to ``QuadSpec()``.
+        features: Optional ``(cuts, scales)``, two arrays of shape (m, c):
+            up to c points per interval near which the integrand changes on
+            the length ``scale`` (a pole that far off the real axis, a kink,
+            a step of that width), NaN marking an absent cut.  Level 0 then
+            splits each interval at its cuts, at the midpoints between
+            neighbouring cuts and at ``cut +- scale * 2**k / 2`` for k = 0,
+            1, ... out to the cut's cell (see ``_level0``), whatever the
+            number of panels that takes, instead of starting from one
+            panel.  An interval whose level 0 alone holds more than
+            MAX_ACTIVE_PANELS panels fails.
 
     Returns:
         ``(values, errors)``: the m integrals (shape (m,) or (m, c)), and a
@@ -274,8 +373,8 @@ def integrate_many(
         hold more than MAX_ACTIVE_PANELS panels.
 
     Raises:
-        ValueError: if some lo > hi, a bound is not finite, or the bounds
-            are not 1-d arrays of one shape.
+        ValueError: if some lo > hi, a bound is not finite, the bounds are
+            not 1-d arrays of one shape, or ``features`` is malformed.
     """
     if spec is None:
         spec = DEFAULT_QUAD
@@ -292,8 +391,9 @@ def integrate_many(
     total = tol = None
     components: tuple[int, ...] = ()
 
-    def refine(owner, a, b, depth):
-        # The panels [a, b] of the intervals ``owner`` (sorted), at ``depth``.
+    def refine(owner, a, b, share, depth):
+        # The panels [a, b] of the intervals ``owner`` (sorted), at ``depth``,
+        # with their fractions ``share`` of the tolerance (None at level 0).
         nonlocal total, tol, components
         while owner.size:
             if owner.size > MAX_ACTIVE_PANELS:
@@ -302,14 +402,25 @@ def integrate_many(
                 cut = int(np.searchsorted(owner, owner[owner.size // 2]))
                 if cut == 0:
                     cut = int(np.searchsorted(owner, owner[0], side="right"))
-                refine(owner[:cut], a[:cut], b[:cut], depth)
-                refine(owner[cut:], a[cut:], b[cut:], depth)
+                if cut == owner.size:
+                    # One interval's graded level 0 (deeper levels never
+                    # hold more than the cap for one interval).
+                    errors[int(owner[0])] = QuadratureError(
+                        f"{owner.size} level-0 panels on [{float(lo[owner[0]])!r}, "
+                        f"{float(hi[owner[0]])!r}] exceed MAX_ACTIVE_PANELS",
+                        panel_lo=float(a[0]), panel_hi=float(b[-1]), panel_err=math.nan,
+                    )
+                    return
+                for part in (slice(None, cut), slice(cut, None)):
+                    refine(owner[part], a[part], b[part],
+                           None if share is None else share[part], depth)
                 return
             est, err, components = _gk15_many(f, a, b, owner)
             if total is None:
                 total = np.zeros((lo.size, est.shape[1]))
                 tol = np.zeros_like(total)
-                tol[owner] = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(est))
+            if share is None:
+                tol[owner], share = _level0_budget(est, owner, a, b, lo, hi, spec)
             # A non-finite integrand value makes its panel's error bound non-finite.
             if not np.isfinite(err).all():
                 for i in np.flatnonzero(~np.isfinite(err).all(axis=1)):
@@ -317,23 +428,26 @@ def integrate_many(
                         f"integrand not finite on [{float(a[i])!r}, {float(b[i])!r}] at depth {depth}",
                         panel_lo=float(a[i]), panel_hi=float(b[i]), panel_err=math.nan,
                     ))
-            ok = (err <= tol[owner] * 0.5**depth).all(axis=1)
+            bound = tol[owner] * share
+            ok = (err <= bound).all(axis=1)
             split = ~ok
             if errors:
                 live = ~np.isin(owner, list(errors))
                 ok &= live
                 split &= live
             np.add.at(total, owner[ok], est[ok])
+            if not split.any():
+                return
             if depth >= MAX_DEPTH:
                 for i in np.flatnonzero(split):
                     errors.setdefault(int(owner[i]), QuadratureError(
                         f"quadrature did not converge on [{float(a[i])!r}, {float(b[i])!r}] "
                         f"(panel error {err[i].max():.3e} > "
-                        f"{tol[owner[i]].min() * 0.5**depth:.3e} at depth {depth})",
+                        f"{bound[i].min():.3e} at depth {depth})",
                         panel_lo=float(a[i]), panel_hi=float(b[i]), panel_err=float(err[i].max()),
                     ))
                 return
-            owner, a, b = owner[split], a[split], b[split]
+            owner, a, b, share = owner[split], a[split], b[split], share[split]
             if 2 * owner.size > MAX_ACTIVE_PANELS:
                 err = err[split]
                 crowded = 2 * np.bincount(owner, minlength=lo.size) > MAX_ACTIVE_PANELS
@@ -346,17 +460,17 @@ def integrate_many(
                         panel_err=float(err[mine].max()),
                     )
                 keep = ~crowded[owner]
-                owner, a, b = owner[keep], a[keep], b[keep]
+                owner, a, b, share = owner[keep], a[keep], b[keep], share[keep]
             mid = 0.5 * (a + b)
             owner = np.repeat(owner, 2)
             a = np.repeat(a, 2)
             a[1::2] = mid
             b = np.repeat(b, 2)
             b[0::2] = mid
+            share = np.repeat(0.5 * share, 2, axis=0)
             depth += 1
 
-    owner = np.flatnonzero(lo < hi)
-    refine(owner, lo[owner], hi[owner], 0)
+    refine(*_level0(lo, hi, features), None, 0)
     if total is None:
         total = np.zeros((lo.size, 1))
     total[list(errors)] = np.nan
@@ -405,7 +519,8 @@ def find_root_decreasing_many(
         f_tol`` or a final bracket width ``<= x_tol``, or the error that
         ended it: ``RootBelowBracket`` if ``g(lo) <= f_tol``,
         ``BracketError`` if ``g(hi) > f_tol``, ``NumericsError`` if MAX_ITER
-        is exhausted, or an error returned by ``g``.
+        is exhausted or g is NaN at an iterate (naming it), or an error
+        returned by ``g``.
 
     Raises:
         ValueError: unless hi > lo for every function.
@@ -425,11 +540,15 @@ def find_root_decreasing_many(
         if not idx.size:
             return x, np.zeros(0, dtype=bool)
         values, errors = g(x, idx)
+        values = np.asarray(values, dtype=float)
         live = np.ones(idx.size, dtype=bool)
         for j, exc in errors.items():
             out[idx[j]] = exc
             live[j] = False
-        return np.asarray(values, dtype=float), live
+        for j in np.flatnonzero(live & np.isnan(values)):
+            out[idx[j]] = NumericsError(f"g is NaN at x = {float(x[j])!r}")
+            live[j] = False
+        return values, live
 
     idx = np.arange(lo.size)
     g_lo, live = evaluate(idx, lo)
@@ -520,7 +639,8 @@ def find_root_decreasing(
             boundary cases.
         BracketError: if ``g(hi) > f_tol`` -- no root in the bracket.
         NumericsError: if MAX_ITER is exhausted (should not happen for a
-            bracketed method with sane tolerances).
+            bracketed method with sane tolerances), or if g is NaN at an
+            iterate, naming it.
     """
     def g_many(x, idx):
         return [g(float(x[0]))], {}

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import fermi, log1p_exp_neg
+from .kernel import fermi, log1p_exp_neg, zeeman_edges
 # ``integrate`` stays importable here: bench/spans.py patches thermo.integrate
 # by name.
 from .numerics import (  # noqa: F401
@@ -201,7 +201,9 @@ def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
     Each spin window [-w - s - spin h, w - s - spin h] is split at the
     bracket's kink (Y = 0) or sharp peak (Y > 0) at xi = -s, which keeps
     every panel analytic; a split point outside the window leaves one
-    empty piece.  All 4m pieces go to one quadrature.
+    empty piece.  All 4m pieces go to one quadrature, each graded toward
+    xi = -s (width min(sqrt(Y), pi T), or pi T at Y = 0) and toward the
+    Zeeman edges (width pi T).
     """
     T, H, Y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (T, H, Y))
     m = T.size
@@ -217,11 +219,15 @@ def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
     left = np.tile([True, False, True, False], m)
     lo, hi = np.where(left, lo, split), np.where(left, split, hi)
 
+    pi_T = np.pi * T
+    cuts = np.array([-s, *zeeman_edges(s, h, Y)]).T[state]
+    scales = np.array([np.where(Y > 0, np.minimum(np.sqrt(Y), pi_T), pi_T), pi_T, pi_T]).T[state]
+
     def f(xi, k):
         i = state[k, None]
         return dos_eval(dos, xi + p.mu, p) * _bracket(xi, T[i], Y[i], s[i], h[i], spin[k, None])
 
-    pieces, piece_errors = integrate_many(f, lo, hi, quad)
+    pieces, piece_errors = integrate_many(f, lo, hi, quad, (cuts, scales))
     pieces = pieces.reshape(m, 4)
     values = 0.5 * ((pieces[:, 0] + pieces[:, 1]) + (pieces[:, 2] + pieces[:, 3]))
     errors: dict[int, QuadratureError] = {}

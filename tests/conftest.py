@@ -33,13 +33,14 @@ def rng():
 
 @pytest.fixture()
 def integrand_calls(monkeypatch):
-    """A one-element list counting the quadrature's integrand calls."""
-    calls = [0]
+    """``[integrand calls, panels]`` the quadrature evaluates."""
+    calls = [0, 0]
     gk15_many = numerics._gk15_many
 
     def counted_gk15_many(f, a, b, owner):
         def counted(*args):
             calls[0] += 1
+            calls[1] += args[1].size
             return f(*args)
 
         return gk15_many(counted, a, b, owner)

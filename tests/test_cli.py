@@ -1,9 +1,11 @@
 import csv
 import json
+import math
 
 import pytest
 
 from bcsfield.cli import main
+from bcsfield.solvers import TAU1_WEAK_COUPLING
 
 
 def run(capsys, *argv):
@@ -37,6 +39,26 @@ def test_coupling_outside_double_range_exits_1(capsys):
     code, out, err = run(capsys, "--set", "U1=5e-4", "tc")
     assert code == 1 and out == ""
     assert "U1" in err and "T must be > 0" not in err
+
+
+@pytest.mark.parametrize("U1", ["0.002", "0.005", "0.01", "0.015", "0.0185"])
+def test_tc_at_weak_coupling_is_the_seed(capsys, U1):
+    # tau1 from 3e-109 to 2e-12 hbar_omega_D: F at the weak-coupling seed is
+    # resolved down to the scale pi tau1, and the seed is the root.
+    code, out, _ = run(capsys, "--json", "--set", f"U1={U1}", "tc")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["tau1"] == TAU1_WEAK_COUPLING * math.exp(-0.5 / float(U1))
+    assert payload["deviation_pct"] == pytest.approx(-0.01182, abs=1e-5)
+
+
+@pytest.mark.parametrize("U1", ["7.5e-4", "0.001", "0.0015"])
+def test_tc_at_the_weakest_couplings_is_the_seed_or_a_quadrature_failure(capsys, U1):
+    code, out, err = run(capsys, "--json", "--set", f"U1={U1}", "tc")
+    if code == 0:
+        assert json.loads(out)["tau1"] == TAU1_WEAK_COUPLING * math.exp(-0.5 / float(U1))
+    else:
+        assert code == 2 and "quadrature" in err
 
 
 def test_tc_json_mode(capsys):

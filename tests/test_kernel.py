@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcsfield import (
     F_eval,
     F_partials,
     MaterialParams,
+    QuadSpec,
     StatePoint,
     central_diff,
     fermi,
@@ -16,7 +19,8 @@ from bcsfield import (
     quasiparticle_energy,
     thermal_weight,
 )
-from bcsfield.kernel import _dJ_all, _Z_LIMIT, _Z_SERIES
+from bcsfield.kernel import F_eval_many, _dJ_all, _Z_LIMIT, _Z_SERIES
+from bcsfield.solvers import TAU1_WEAK_COUPLING
 
 
 def _dJ_column(k):
@@ -226,6 +230,58 @@ def test_F_at_zero_field_matches_the_low_temperature_closed_form(p, T):
     euler_gamma = 0.5772156649015329
     ref = 2.0 * math.log(2.0 * math.exp(euler_gamma) * p.hbar_omega_D / (math.pi * T)) - 1.0 / p.U1
     assert F_eval(StatePoint(T, 0.0, 0.0), p) == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+@st.composite
+def gap_states(draw):
+    """(U1, T, H, Y) as the point queries meet them, hbar_omega_D = 1.
+
+    Near the transition (T in [0.8, 1] tau1, H up to 0.6 Delta0) or cold
+    (T from 1e-4 to tau1, H up to 2 Delta0), with Y = 0 or up to 4 Delta0^2.
+    """
+    U1 = draw(st.floats(0.13, 0.25))
+    tau1 = TAU1_WEAK_COUPLING * math.exp(-0.5 / U1)
+    delta0 = 1.0 / math.sinh(0.5 / U1)
+    if draw(st.booleans()):
+        T, H = 1e-4 * (tau1 / 1e-4) ** draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0 * delta0))
+    else:
+        T, H = draw(st.floats(0.8 * tau1, tau1)), draw(st.floats(0.0, 0.6 * delta0))
+    Y = draw(st.just(0.0) | st.floats(0.0, 4.0 * delta0 * delta0))
+    return U1, T, H, Y
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=gap_states())
+@example(state=(0.2, 1.8371802505331663e-4, 0.32723038885810335, 0.0))
+def test_F_meets_its_tolerance(state):
+    # The example is a cold state whose Zeeman edge a whole-window panel
+    # once missed by accident: F came out 1.2e-7 off at the 1e-10 default.
+    U1, T, H, Y = state
+    p = MaterialParams(U1=U1)
+    s = StatePoint(T, H, Y)
+    tight = F_eval(s, p, QuadSpec(1e-13, 1e-13))
+    assert abs(F_eval(s, p) - tight) <= 2e-10 * max(1.0, abs(tight))
+
+
+def test_F_on_the_box_takes_one_integrand_call(p, dbox, rng, integrand_calls):
+    # The graded start resolves J at level 0: no refinement on the box.
+    for k in range(100):
+        Y = 0.0 if k % 4 == 0 else float(rng.uniform(0.0, dbox.Y0))
+        s = StatePoint(float(rng.uniform(dbox.T0, dbox.tau1)), float(rng.uniform(0.0, dbox.H_max)), Y)
+        integrand_calls[0] = 0
+        F_eval(s, p)
+        assert integrand_calls[0] == 1
+
+
+def test_F_batch_equals_its_states_alone(p, dbox, rng):
+    # States with 1, 2 or 3 feature points each, near tau1 and cold.
+    T = np.concatenate([rng.uniform(dbox.T0, dbox.tau1, 6), 10.0 ** rng.uniform(-4, -2, 6)])
+    H = np.concatenate([rng.uniform(0.0, dbox.H_max, 6), rng.uniform(0.0, 0.15, 6)])
+    Y = np.where(np.arange(12) % 3 == 0, 0.0, rng.uniform(0.0, dbox.Y0, 12))
+    values, errors = F_eval_many(T, H, Y, p)
+    assert not errors
+    for t, h, y, f in zip(T.tolist(), H.tolist(), Y.tolist(), values):
+        assert f == F_eval(StatePoint(t, h, y), p)
 
 
 def test_F_decay_bound_in_Y(p, rng):

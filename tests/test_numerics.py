@@ -264,10 +264,21 @@ def test_max_iter_exhaustion(monkeypatch):
         find_root_decreasing(lambda x: math.exp(-x) - 0.5, 0.0, 10.0, spec)
 
 
-def test_nan_function_exhausts_the_iterations(monkeypatch):
-    monkeypatch.setattr(numerics, "MAX_ITER", 8)
-    with pytest.raises(NumericsError, match="iteration limit"):
+def test_nan_value_of_g_fails_naming_x():
+    # A NaN is neither sign: the solve stops at the first NaN iterate, where
+    # it once took NaN for negative (a "root" at 0.6 for the second g).
+    with pytest.raises(NumericsError, match=r"NaN at x = 0\.0"):
         find_root_decreasing(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(NumericsError, match=r"NaN at x = 2\.0"):
+        find_root_decreasing(lambda x: 1.0 - x if x < 0.6 else math.nan, 0.0, 2.0)
+
+    def g_many(x, idx):
+        # Function 1 is NaN above 0.5 and fails alone, at an interior iterate.
+        return np.where((idx == 1) & (x > 0.5), np.nan, 0.75 - x), {}
+
+    out = find_root_decreasing_many(g_many, np.zeros(3), np.array([1.0, 0.8, 1.0]))
+    assert isinstance(out[1], NumericsError) and "NaN at x = " in str(out[1])
+    assert out[0] == out[2] == find_root_decreasing(lambda x: 0.75 - x, 0.0, 1.0)
 
 
 def test_root_spec_validation():
@@ -371,6 +382,114 @@ def test_vector_integrand_meets_each_component_tolerance():
     assert not errors and values.shape == (1, 2)
     assert values[0, 0] == pytest.approx(math.sin(2.0), rel=1e-13)
     assert values[0, 1] == pytest.approx(1e-6 * (math.exp(2.0) - 1.0), rel=1e-13)
+
+
+def _peaks(width):
+    """f(x, owner) = 1 / sqrt(x^2 + width^2) per interval, and its integral.
+
+    Shaped like the gap kernel: branch points width off the axis at x = 0
+    (where x has no rounding to speak of), 1/|x| tails.
+    """
+    width = np.asarray(width, dtype=float)
+
+    def f(x, owner):
+        return 1.0 / np.hypot(x, width[owner, None])
+
+    def exact(lo, hi):
+        return np.arcsinh(hi / width) - np.arcsinh(lo / width)
+
+    return f, exact
+
+
+def test_graded_start_resolves_a_narrow_peak_at_level_0():
+    # Branch points 1e-9 off the axis: the graded start meets the tolerance
+    # in one integrand call.
+    f, exact = _peaks([1e-9])
+    calls = []
+
+    def counted(x, owner):
+        calls.append(owner.size)
+        return f(x, owner)
+
+    features = (np.array([[0.0]]), np.array([[1e-9]]))
+    values, errors = integrate_many(counted, [-1.0], [2.0], features=features)
+    assert not errors and len(calls) == 1
+    assert abs(values[0] - exact(-1.0, 2.0)) <= 1e-10 * abs(values[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.floats(-2.0, 1.0),
+    width=st.floats(1e-3, 3.0),
+    log_scale=st.floats(-12.0, 0.0),
+    tol=st.sampled_from([1e-10, 1e-13]),
+)
+def test_graded_start_meets_the_tolerance(lo, width, log_scale, tol):
+    # The fractions of tol given to the level-0 panels sum to 1, so the
+    # contract error <= max(abs_tol, rel_tol |estimate|) holds as it does
+    # from one panel.  A cut outside the interval grades from there.
+    scale = 10.0**log_scale
+    f, exact = _peaks([scale, scale])
+    spec = QuadSpec(abs_tol=tol, rel_tol=tol)
+    features = (np.array([[0.0, np.nan], [0.0, 0.5]]), np.array([[scale, np.nan], [scale, 1.0]]))
+    values, errors = integrate_many(f, [lo, lo], [lo + width] * 2, spec, features)
+    assert not errors
+    truth = exact(lo, lo + width)
+    assert np.all(np.abs(values - truth) <= tol * np.maximum(1.0, np.abs(values)))
+
+
+def test_graded_batch_equals_its_intervals_alone(rng):
+    m = 12
+    lo = rng.uniform(-2.0, 0.0, m)
+    hi = lo + rng.uniform(0.0, 3.0, m)
+    hi[3] = lo[3]  # an empty interval
+    width = 10.0 ** rng.uniform(-9.0, 0.0, m)
+    cuts = np.column_stack([np.zeros(m), rng.uniform(-3.0, 3.0, m)])
+    cuts[::3, 1] = np.nan
+    scales = np.column_stack([width, 10.0 ** rng.uniform(-6.0, 0.0, m)])
+    f, _ = _peaks(width)
+    values, errors = integrate_many(f, lo, hi, features=(cuts, scales))
+    assert not errors
+    for i in range(m):
+        g, _ = _peaks(width[i:i + 1])
+        alone, _ = integrate_many(g, lo[i:i + 1], hi[i:i + 1],
+                                  features=(cuts[i:i + 1], scales[i:i + 1]))
+        assert alone[0] == values[i]
+
+
+def test_graded_level_0_over_the_panel_cap_is_refined_in_groups(monkeypatch):
+    # Every interval's level 0 holds 24 panels; with a cap of 64 the 12 of
+    # them are refined in groups, each with its own tolerance.
+    f, _ = _peaks(np.full(12, 1e-3))
+    features = (np.zeros((12, 1)), np.full((12, 1), 1e-3))
+    whole, errors = integrate_many(f, -np.ones(12), np.ones(12), features=features)
+    assert not errors
+    monkeypatch.setattr(numerics, "MAX_ACTIVE_PANELS", 64)
+    grouped, errors = integrate_many(f, -np.ones(12), np.ones(12), features=features)
+    assert not errors and np.array_equal(grouped, whole)
+    plain, errors = integrate_many(f, -np.ones(12), np.ones(12))
+    assert not errors and np.allclose(plain, whole, rtol=1e-10, atol=0.0)
+
+
+def test_level_0_alone_over_the_panel_cap_fails_its_interval(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_ACTIVE_PANELS", 16)
+    f, exact = _peaks([1e-6, 1e-6])
+    features = (np.array([[0.0], [np.nan]]), np.array([[1e-6], [1e-6]]))
+    values, errors = integrate_many(f, [-1.0, -1.0], [1.0, 1.0], features=features)
+    assert list(errors) == [0] and "exceed MAX_ACTIVE_PANELS" in str(errors[0])
+    assert math.isnan(values[0])
+    assert values[1] == pytest.approx(exact(-1.0, 1.0)[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("cuts, scales", [
+    (np.zeros((2, 1)), np.ones((2, 2))),  # shapes differ
+    (np.zeros((3, 1)), np.ones((3, 1))),  # one row per interval
+    (np.zeros((2, 1)), np.zeros((2, 1))),  # scale must be > 0
+    (np.full((2, 1), np.inf), np.ones((2, 1))),  # cut finite or NaN
+])
+def test_malformed_features_rejected(cuts, scales):
+    with pytest.raises(ValueError, match="features"):
+        integrate_many(lambda x, owner: x, [0.0, 0.0], [1.0, 1.0], features=(cuts, scales))
 
 
 @settings(max_examples=30, deadline=None)

@@ -23,7 +23,8 @@ from bcsfield import (
     psi,
     solve_hc,
 )
-from bcsfield.thermo import _bracket
+from bcsfield.numerics import QuadSpec
+from bcsfield.thermo import _bracket, _omega_many
 
 
 def _bracket_up(xi, T, Y, s, h):
@@ -169,6 +170,26 @@ def test_omega_smooth_in_T(p, dbox):
 def test_omega_finite_at_low_temperature(p):
     value = grand_potential_N(1e-4, 0.02, p, dos_linear(1.0, 0.5))
     assert math.isfinite(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "sqrt", "constant"]),
+    slope=st.floats(0.2, 0.8),
+    fracs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                   min_size=20, max_size=40),
+)
+def test_grand_potentials_meet_their_tolerance(p, dbox, kind, slope, fracs):
+    # omega_S and omega_N at sweep-like states, at least 2000 per run: a
+    # whole-piece panel once passed a spin-up piece 6.2e-7 off by accident.
+    dos = {"linear": dos_linear(1.0, slope), "sqrt": dos_sqrt(), "constant": dos_constant()}[kind]
+    T = [dbox.T0 + u * (dbox.tau1 - dbox.T0) for u, _, _ in fracs]
+    H = [v * dbox.H_max for _, v, _ in fracs] * 2
+    Y = [w * dbox.Y0 for _, _, w in fracs] + [0.0] * len(fracs)
+    default, errors = _omega_many(T * 2, H, Y, p, dos, None)
+    tight, tight_errors = _omega_many(T * 2, H, Y, p, dos, QuadSpec(1e-13, 1e-13))
+    assert not errors and not tight_errors
+    assert np.all(np.abs(default - tight) <= 2e-10 * np.maximum(1.0, np.abs(tight)))
 
 
 def test_brackets_finite_across_removable_point(p):
