@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import F_eval, F_partials, StatePoint, fermi, thermal_weight
-from .numerics import NumericsError, QuadSpec, RootSpec, unwrap
+from .kernel import F_eval_many, F_partials_many, fermi, thermal_weight
+from .numerics import NumericsError, QuadSpec, RootSpec, first, unwrap
 from .params import Z_CAP, DomainBox, MaterialParams, domain_from, load_params
 from .phase_diagram import OUTPUT_KINDS, SweepError, SweepResult, SweepSpec, run_sweep, write_csv
 from .solvers import (
     hc_slope_at_tc,
     solve_gap_squared,
+    solve_gap_squared_many,
     solve_hc,
     solve_hc_many,
     solve_tau1,
@@ -157,9 +158,10 @@ def _emit(config: CliConfig, fields: dict) -> None:
             print(f"{key} = {value}")
 
 
-def _box(config: CliConfig, tau1: float) -> DomainBox:
-    T0 = _parse_temperature(config.t0_spec, tau1)
-    return domain_from(config.params, T0, tau1)
+def _setup(config: CliConfig) -> tuple[float, DomainBox]:
+    """tau1 and the working box whose lower temperature ``--T0`` gives."""
+    tau1 = solve_tau1(config.params, config.root, config.quad)
+    return tau1, domain_from(config.params, _parse_temperature(config.t0_spec, tau1), tau1)
 
 
 def _cmd_tc(config: CliConfig, args) -> int:
@@ -176,8 +178,7 @@ def _cmd_tc(config: CliConfig, args) -> int:
 
 def _cmd_gap(config: CliConfig, args) -> int:
     p = config.params
-    tau1 = solve_tau1(p, config.root, config.quad)
-    dbox = _box(config, tau1)
+    tau1, dbox = _setup(config)
     T = _parse_temperature(args.T, tau1)
     # DomainWarning from the solver surfaces on stderr (outside-guarantee-zone
     # points are computed anyway).
@@ -199,8 +200,7 @@ def _cmd_hc(config: CliConfig, args) -> int:
     if args.n < 2:
         raise ValueError(f"need n >= 2 grid points, got {args.n!r}")
     p = config.params
-    tau1 = solve_tau1(p, config.root, config.quad)
-    dbox = _box(config, tau1)
+    tau1, dbox = _setup(config)
     grid = np.linspace(dbox.T0, tau1, args.n).tolist()
     hcs = [unwrap(hc) for hc in solve_hc_many(grid, p, dbox, config.root, config.quad)]
     paths = write_csv(SweepResult(hc_curve=list(zip(grid, hcs))), config.output)
@@ -216,8 +216,7 @@ def _cmd_hc(config: CliConfig, args) -> int:
 
 def _cmd_entropy(config: CliConfig, args) -> int:
     p = config.params
-    tau1 = solve_tau1(p, config.root, config.quad)
-    dbox = _box(config, tau1)
+    tau1, dbox = _setup(config)
     dos = _parse_dos(args.dos)
     T = _parse_temperature(args.T, tau1)
     hc = solve_hc(T, p, dbox, config.root, config.quad)
@@ -244,8 +243,7 @@ def _parse_grid(text: str, tau1: float, name: str):
 
 def _cmd_sweep(config: CliConfig, args) -> int:
     p = config.params
-    tau1 = solve_tau1(p, config.root, config.quad)
-    dbox = _box(config, tau1)
+    tau1, dbox = _setup(config)
     dos = _parse_dos(args.dos)
     outputs = frozenset(s.strip() for s in args.outputs.split(",") if s.strip())
     t_grid = _parse_grid(args.T_grid, tau1, "--T-grid")
@@ -266,93 +264,71 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     """Run the invariant suite; returns (name, property, hard, passed, detail)."""
     p = config.params
     quad, root = config.quad, config.root
+    if args.samples < 0:
+        raise ValueError(f"need --samples >= 0, got {args.samples!r}")
     rng = np.random.default_rng(args.seed)
-    n = args.samples
     checks: list[tuple[str, str, bool, bool, str]] = []
 
     def add(name: str, prop: str, hard: bool, passed: bool, detail: str = "") -> None:
         checks.append((name, prop, hard, bool(passed), detail))
 
-    tau1 = solve_tau1(p, root, quad)
-    dbox = _box(config, tau1)
+    tau1, dbox = _setup(config)
     mid_T = 0.5 * (dbox.T0 + tau1)
-    hc_mid = None  # H_c(mid_T), solved once and shared with the entropy checks
 
     add("domain-cap-inequality", "z sinh z < 2 at z = 1.24", True,
         Z_CAP * math.sinh(Z_CAP) < 2.0, f"value {Z_CAP * math.sinh(Z_CAP):.6f}")
     add("box-ratio", "H_max mu_B / T0 = 1.24 exactly", True,
         abs(dbox.H_max * p.mu_B / dbox.T0 - Z_CAP) <= 4 * np.finfo(float).eps * Z_CAP)
 
-    res = abs(F_eval(StatePoint(tau1, 0.0, 0.0), p, quad))
+    # F at tau1, then at ten temperatures below it.
+    T = [tau1, *np.linspace(dbox.T0, tau1 * (1 - 1e-6), 10)]
+    F = first(*F_eval_many(T, 0.0, 0.0, p, quad), whole=True)
+    res = abs(F[0])
     add("tau1-residual", "F(tau1, 0, 0) = 0 within f_tol", True, res <= root.f_tol, f"residual {res:.2e}")
 
-    ok = True
-    for z in rng.uniform(1e-3, 600, 200):
-        z1 = rng.uniform(0.0, 40.0)
-        T = rng.uniform(0.01, 1.0)
-        w1 = thermal_weight(T, z * T, z1 * T / p.mu_B, p)
-        w2 = 1.0 - fermi(z + z1) - fermi(z - z1)
-        if abs(w1 - w2) > 1e-12:
-            ok = False
-            break
-    add("weight-identity", "sinh/cosh weight equals two-Fermi-function form", True, ok)
+    z = rng.uniform(1e-3, 600, 200)
+    z1, T = rng.uniform([0.0, 0.01], [40.0, 1.0], (200, 2)).T
+    w1 = thermal_weight(T, z * T, z1 * T / p.mu_B, p)
+    w2 = 1.0 - fermi(z + z1) - fermi(z - z1)
+    add("weight-identity", "sinh/cosh weight equals two-Fermi-function form", True,
+        not np.any(np.abs(w1 - w2) > 1e-12))
 
-    ok = True
-    for T in np.linspace(dbox.T0, tau1 * (1 - 1e-6), 10):
-        if not F_eval(StatePoint(float(T), 0.0, 0.0), p, quad) > 0:
-            ok = False
-    add("subcritical-positivity", "F(T, 0, 0) > 0 below tau1", True, ok)
+    add("subcritical-positivity", "F(T, 0, 0) > 0 below tau1", True, np.all(F[1:] > 0))
 
-    ok_y = ok_h = ok_t = True
-    for _ in range(n):
-        s = StatePoint(
-            float(rng.uniform(dbox.T0, tau1)),
-            float(rng.uniform(1e-6, dbox.H_max)),
-            float(rng.uniform(0.0, dbox.Y0)),
-        )
-        f_T, f_H, f_Y = F_partials(s, p, quad)
-        ok_t &= f_T < 0
-        ok_h &= f_H < 0
-        ok_y &= f_Y < 0
+    states = rng.uniform([dbox.T0, 1e-6, 0.0], [tau1, dbox.H_max, dbox.Y0], (args.samples, 3))
+    ok_t, ok_h, ok_y = np.all(first(*F_partials_many(*states.T, p, quad), whole=True) < 0, axis=0)
     add("monotone-in-Y", "dF/dY < 0 on the box", True, ok_y)
     add("monotone-in-H", "dF/dH < 0 on the box", True, ok_h)
     add("monotone-in-T", "dF/dT < 0 on the box", True, ok_t)
 
-    z1_grid = np.linspace(0.0, Z_CAP, 7)
-    z_grid = np.linspace(0.0, 50.0, 201)
-    ok = True
-    for z1 in z1_grid:
-        c1 = math.cosh(z1)
-        for z in z_grid:
-            lhs = c1 * (math.sinh(z) - z * math.cosh(z)) + math.cosh(z) * math.sinh(z) - z
-            if lhs < -1e-12 * max(1.0, abs(c1 * z * math.cosh(z))):
-                ok = False
+    z1 = np.linspace(0.0, Z_CAP, 7)[:, None]
+    z = np.linspace(0.0, 50.0, 201)
+    c1 = np.cosh(z1)
+    lhs = c1 * (np.sinh(z) - z * np.cosh(z)) + np.cosh(z) * np.sinh(z) - z
     add("weight-decreasing-inequality",
-        "cosh(z1)(sinh z - z cosh z) + cosh z sinh z - z >= 0 for z1 <= 1.24", True, ok)
+        "cosh(z1)(sinh z - z cosh z) + cosh z sinh z - z >= 0 for z1 <= 1.24", True,
+        not np.any(lhs < -1e-12 * np.maximum(1.0, np.abs(c1 * z * np.cosh(z)))))
 
-    ok = True
-    for z1 in z1_grid:
-        for z in z_grid:
-            sinhc = 1.0 if z == 0 else math.sinh(z) / z
-            if not 1.0 + math.cosh(z) * math.cosh(z1) - z1 * math.sinh(z1) * sinhc > 0:
-                ok = False
+    sinhc = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0)
     add("temperature-decreasing-inequality",
-        "1 + cosh z cosh z1 - z1 sinh z1 sinh(z)/z > 0 for z1 <= 1.24", True, ok)
+        "1 + cosh z cosh z1 - z1 sinh z1 sinh(z)/z > 0 for z1 <= 1.24", True,
+        np.all(1.0 + np.cosh(z) * np.cosh(z1) - z1 * np.sinh(z1) * sinhc > 0))
 
+    # H_c on the curve's grid and at mid_T, shared with the entropy checks.
+    *hcs, hc_mid = solve_hc_many([*np.linspace(dbox.T0, tau1, 10), mid_T], p, dbox, root, quad)
     try:
-        grid = np.linspace(dbox.T0, tau1, 10)
-        hcs = [unwrap(hc) for hc in solve_hc_many(grid, p, dbox, root, quad)]
-        ok = all(b <= a + root.x_tol for a, b in zip(hcs, hcs[1:])) and hcs[-1] == 0.0
-        add("hc-curve", "H_c nonincreasing, H_c(tau1) = 0", True, ok,
+        hcs = np.array([unwrap(hc) for hc in hcs])
+        add("hc-curve", "H_c nonincreasing, H_c(tau1) = 0", True,
+            np.all(hcs[1:] <= hcs[:-1] + root.x_tol) and hcs[-1] == 0.0,
             f"H_c(T0) = {hcs[0]:.6g}")
-        hc_mid = solve_hc(mid_T, p, dbox, root, quad)
-        gap_at_hc = solve_gap_squared(mid_T, hc_mid, p, dbox, root, quad)
+        gap_at_hc, sol = solve_gap_squared_many(mid_T, [unwrap(hc_mid), 0.0], p, dbox, root, quad)
+        gap_at_hc = unwrap(gap_at_hc)
         add("gap-hc-consistency", "gap vanishes on the critical curve", True,
             gap_at_hc.boundary and gap_at_hc.Y == 0.0)
         slope = hc_slope_at_tc(p, root, quad, tau1=tau1)
         add("hc-slope-sign", "closed-form slope at tau1 is negative", True, slope < 0,
             f"slope {slope:.4f}")
-        sol = solve_gap_squared(mid_T, 0.0, p, dbox, root, quad)
+        sol = unwrap(sol)
         add("gap-bracket", "squared gap solves inside (0, Y0]", True,
             (not sol.boundary) and 0 < sol.Y <= dbox.Y0,
             f"Y = {sol.Y:.6g}, residual {sol.residual:.2e}")
@@ -365,6 +341,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
         tp = psi(mid_T, 0.0, p, dos, dbox, root, quad)
         add("psi-negative", "grand-potential difference < 0 in the paired state", False,
             tp.psi < 0, f"psi = {tp.psi:.3e}")
+        hc_mid = unwrap(hc_mid)
         ds = entropy_gap(mid_T, p, dos, dbox, root, quad, hc=hc_mid)
         ds_fd = entropy_gap_fd(mid_T, p, dos, dbox, root, hc=hc_mid)
         agree = ds < 0 and ds_fd < 0 and abs(ds_fd / ds - 1.0) <= 0.05

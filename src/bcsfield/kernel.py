@@ -293,7 +293,8 @@ def F_partials_many(
     T, H, Y, p: MaterialParams, quad: QuadSpec | None = None
 ) -> tuple[np.ndarray, dict[int, QuadratureError]]:
     """(F_T, F_H, F_Y) at a batch of states: ``(values of shape (m, 3), errors)``."""
-    return _integrate_states(_dJ_all, T, H, Y, p, quad)
+    values, errors = _integrate_states(_dJ_all, T, H, Y, p, quad)
+    return values.reshape(-1, 3), errors
 
 
 def F_partials(

@@ -214,11 +214,15 @@ def unwrap(result):
     return result
 
 
-def first(values, errors: dict):
-    """Return entry 0 of a ``(values, errors)`` batch result, raising its error."""
-    if 0 in errors:
-        raise errors[0]
-    return values[0]
+def first(values, errors: dict, whole: bool = False):
+    """Return entry 0 of a ``(values, errors)`` batch result, or all of it with ``whole``.
+
+    Raises the error of entry 0, or with ``whole`` of the lowest failed entry.
+    """
+    k = min(errors, default=None) if whole else 0
+    if k in errors:
+        raise errors[k]
+    return values if whole else values[0]
 
 
 def _gk15_many(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):

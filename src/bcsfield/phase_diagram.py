@@ -29,14 +29,14 @@ from .thermo import DosModel, entropy_gap_fd_many, entropy_gap_many, psi_many
 
 __all__ = ["SweepSpec", "SweepResult", "SweepError", "run_sweep", "write_csv"]
 
-OUTPUT_KINDS = ("hc_curve", "gap_surface", "psi_surface", "entropy_curve")
-
-_HEADERS = {
-    "hc_curve": ("T", "H_c"),
-    "gap_surface": ("T", "H", "Y", "delta", "state"),
-    "psi_surface": ("T", "H", "omega_S", "omega_N", "psi"),
-    "entropy_curve": ("T", "H_c", "dS_formula", "dS_fd"),
+# Each output table's CSV file suffix and header, in the order they are written.
+_TABLES = {
+    "hc_curve": ("hc", ("T", "H_c")),
+    "gap_surface": ("gap", ("T", "H", "Y", "delta", "state")),
+    "psi_surface": ("psi", ("T", "H", "omega_S", "omega_N", "psi")),
+    "entropy_curve": ("entropy", ("T", "H_c", "dS_formula", "dS_fd")),
 }
+OUTPUT_KINDS = tuple(_TABLES)
 
 _FAILURE_BUDGET = 0.10
 
@@ -54,7 +54,8 @@ class SweepSpec:
     """What to evaluate: T grid, H grid (or 'auto'), and output selection.
 
     ``H_grid = "auto"`` spans 0 to H_c(T) separately for every temperature
-    column.  Grids are (min, max, n) with n >= 2 and min < max.
+    column, in as many points as the T grid has.  Grids are (min, max, n)
+    with n >= 2 and min < max.
     """
 
     T_grid: tuple[float, float, int]
@@ -174,7 +175,7 @@ def run_sweep(
         for k, T in enumerate(t_values):
             if spec.H_grid == "auto":
                 # A failed H_c leaves no field range: the sweep stops here.
-                h_values = np.linspace(0.0, unwrap(hcs[k]), spec_h_n(spec))
+                h_values = np.linspace(0.0, unwrap(hcs[k]), t_n)
             else:
                 h_values = np.linspace(*spec.H_grid)
             states.extend((T, float(H)) for H in h_values)
@@ -216,13 +217,6 @@ def run_sweep(
     return result
 
 
-def spec_h_n(spec: SweepSpec) -> int:
-    """Number of H points per column ('auto' reuses the T grid count)."""
-    if spec.H_grid == "auto":
-        return spec.T_grid[2]
-    return spec.H_grid[2]
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -238,14 +232,8 @@ def write_csv(result: SweepResult, prefix: str | Path) -> list[Path]:
     prefix = Path(prefix)
     if prefix.parent != Path("") and not prefix.parent.exists():
         raise FileNotFoundError(f"output directory {prefix.parent} does not exist")
-    suffixes = {
-        "hc_curve": "hc",
-        "gap_surface": "gap",
-        "psi_surface": "psi",
-        "entropy_curve": "entropy",
-    }
     written: list[Path] = []
-    for table, short in suffixes.items():
+    for table, (short, header) in _TABLES.items():
         rows = getattr(result, table)
         if rows is None:
             continue
@@ -253,7 +241,7 @@ def write_csv(result: SweepResult, prefix: str | Path) -> list[Path]:
         try:
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(_HEADERS[table])
+                writer.writerow(header)
                 for row in rows:
                     writer.writerow([_fmt(v) for v in row])
         except OSError as exc:

@@ -307,13 +307,11 @@ def implicit_partials_many(
     dbox: DomainBox,
     spec: RootSpec | None = None,
     quad: QuadSpec | None = None,
-    gaps: list[GapSolution | NumericsError] | None = None,
 ) -> list[tuple[float, float] | NumericsError]:
     """:func:`implicit_partials` at a batch of states (T and H broadcast to one length).
 
-    One batched gap solve (skipped when ``gaps`` passes one solution or error
-    per state), then one ``F_partials_many`` over the solved states.
-    Returns one entry per state: its ``(df/dT, df/dH)``, or the
+    One batched gap solve, then one ``F_partials_many`` over the solved
+    states.  Returns one entry per state: its ``(df/dT, df/dH)``, or the
     ``NumericsError`` of its gap solve or partials, or a
     ``SingularDerivativeError`` where F_Y = 0.
 
@@ -323,8 +321,7 @@ def implicit_partials_many(
     """
     T, H = (a.ravel() for a in np.broadcast_arrays(
         check_arg("T", T, positive=True), check_arg("H", H)))
-    if gaps is None:
-        gaps = _solve_gaps(T, H, p, dbox, spec, quad)
+    gaps = _solve_gaps(T, H, p, dbox, spec, quad)
     out: list[tuple[float, float] | NumericsError] = list(gaps)
     solved = [i for i, g in enumerate(gaps) if isinstance(g, GapSolution)]
     values, errors = F_partials_many(T[solved], H[solved], [gaps[i].Y for i in solved], p, quad)
@@ -350,20 +347,17 @@ def implicit_partials(
     dbox: DomainBox,
     spec: RootSpec | None = None,
     quad: QuadSpec | None = None,
-    gap: GapSolution | None = None,
 ) -> tuple[float, float]:
     """Implicit derivatives (df/dT, df/dH) of the squared gap.
 
     Evaluates the kernel partials at (T, H, f(T, H)) -- including on the
     boundary, where f = 0 -- and returns (-F_T/F_Y, -F_H/F_Y).  Both are
-    negative on the working box.  ``gap`` may pass a precomputed solution
-    for the same (T, H) to skip one root solve.
+    negative on the working box.
 
     Raises:
         SingularDerivativeError: if F_Y = 0 at the state.
     """
-    return unwrap(implicit_partials_many(T, H, p, dbox, spec, quad,
-                                         None if gap is None else [gap])[0])
+    return unwrap(implicit_partials_many(T, H, p, dbox, spec, quad)[0])
 
 
 def hc_slope_at_tc(

@@ -328,6 +328,23 @@ def test_check_solves_the_mid_critical_field_once(capsys, monkeypatch):
     assert checks["entropy-gap-cross-check"]["passed"]
 
 
+def test_check_work_does_not_grow_with_samples(capsys, integrand_calls):
+    # Each check is one batched call, so the box states share its levels.
+    def calls(samples):
+        integrand_calls[0] = 0
+        assert run(capsys, "--json", "check", "--samples", str(samples))[0] == 0
+        return integrand_calls[0]
+
+    few, many = calls(4), calls(40)
+    assert few == many <= 60
+
+
+def test_check_rejects_negative_samples(capsys):
+    code, out, err = run(capsys, "check", "--samples", "-1")
+    assert code == 1 and out == ""
+    assert "--samples" in err
+
+
 @pytest.mark.parametrize("T, H, name", [("0.03", "nan", "H"), ("inf", "0.01", "T")])
 def test_gap_non_finite_input_exits_1(capsys, T, H, name):
     code, out, err = run(capsys, "gap", "--T", T, "--H", H)

@@ -19,7 +19,7 @@ from bcsfield import (
     quasiparticle_energy,
     thermal_weight,
 )
-from bcsfield.kernel import F_eval_many, _dJ_all, _Z_LIMIT, _Z_SERIES
+from bcsfield.kernel import F_eval_many, F_partials_many, _dJ_all, _Z_LIMIT, _Z_SERIES
 from bcsfield.solvers import TAU1_WEAK_COUPLING
 
 
@@ -282,6 +282,11 @@ def test_F_batch_equals_its_states_alone(p, dbox, rng):
     assert not errors
     for t, h, y, f in zip(T.tolist(), H.tolist(), Y.tolist(), values):
         assert f == F_eval(StatePoint(t, h, y), p)
+
+
+def test_F_partials_of_no_states_have_three_columns(p):
+    values, errors = F_partials_many([], [], [], p)
+    assert values.shape == (0, 3) and not errors
 
 
 def test_F_decay_bound_in_Y(p, rng):
