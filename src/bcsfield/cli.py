@@ -282,7 +282,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
 
     # F at tau1, then at ten temperatures below it.
     T = [tau1, *np.linspace(dbox.T0, tau1 * (1 - 1e-6), 10)]
-    F = first(*F_eval_many(T, 0.0, 0.0, p, quad), whole=True)
+    F = first(*F_eval_many(T, 0.0, 0.0, p, quad))
     res = abs(F[0])
     add("tau1-residual", "F(tau1, 0, 0) = 0 within f_tol", True, res <= root.f_tol, f"residual {res:.2e}")
 
@@ -296,7 +296,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     add("subcritical-positivity", "F(T, 0, 0) > 0 below tau1", True, np.all(F[1:] > 0))
 
     states = rng.uniform([dbox.T0, 1e-6, 0.0], [tau1, dbox.H_max, dbox.Y0], (args.samples, 3))
-    ok_t, ok_h, ok_y = np.all(first(*F_partials_many(*states.T, p, quad), whole=True) < 0, axis=0)
+    ok_t, ok_h, ok_y = np.all(first(*F_partials_many(*states.T, p, quad)) < 0, axis=0)
     add("monotone-in-Y", "dF/dY < 0 on the box", True, ok_y)
     add("monotone-in-H", "dF/dH < 0 on the box", True, ok_h)
     add("monotone-in-T", "dF/dT < 0 on the box", True, ok_t)

@@ -221,7 +221,7 @@ def F_eval(s: StatePoint, p: MaterialParams, quad: QuadSpec | None = None) -> fl
     Positive F means the state supports a larger gap; F = 0 is the
     gap equation itself.
     """
-    return float(first(*F_eval_many(s.T, s.H, s.Y, p, quad)))
+    return float(first(*F_eval_many(s.T, s.H, s.Y, p, quad))[0])
 
 
 def _r_r_cosh(z, z1: float):
@@ -309,5 +309,5 @@ def F_partials(
     negative, which is what makes the implicit functions unique and
     monotone.
     """
-    f_T, f_H, f_Y = (float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad)))
+    f_T, f_H, f_Y = (float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad))[0])
     return f_T, f_H, f_Y

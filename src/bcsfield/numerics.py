@@ -214,15 +214,14 @@ def unwrap(result):
     return result
 
 
-def first(values, errors: dict, whole: bool = False):
-    """Return entry 0 of a ``(values, errors)`` batch result, or all of it with ``whole``.
+def first(values, errors: dict):
+    """Return the values of a ``(values, errors)`` batch result.
 
-    Raises the error of entry 0, or with ``whole`` of the lowest failed entry.
+    Raises the error of the lowest failed entry, if any entry failed.
     """
-    k = min(errors, default=None) if whole else 0
-    if k in errors:
-        raise errors[k]
-    return values if whole else values[0]
+    if errors:
+        raise errors[min(errors)]
+    return values
 
 
 def _gk15_many(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
@@ -499,7 +498,7 @@ def integrate(f: Callable, lo: float, hi: float, spec: QuadSpec | None = None) -
     return float(first(*integrate_many(
         lambda x, owner: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
         [lo], [hi], spec,
-    )))
+    ))[0])
 
 
 def find_root_decreasing_many(

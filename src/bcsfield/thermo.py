@@ -249,7 +249,7 @@ def grand_potential_S(
     With a zero gap this is the identical code path as
     :func:`grand_potential_N`, so the two agree exactly there.
     """
-    return float(first(*_omega_many(T, H, gap.Y, p, dos, quad)))
+    return float(first(*_omega_many(T, H, gap.Y, p, dos, quad))[0])
 
 
 def grand_potential_N(
@@ -260,7 +260,7 @@ def grand_potential_N(
     quad: QuadSpec | None = None,
 ) -> float:
     """Normal-state grand potential: the same expression with the gap forced to 0."""
-    return float(first(*_omega_many(T, H, 0.0, p, dos, quad)))
+    return float(first(*_omega_many(T, H, 0.0, p, dos, quad))[0])
 
 
 def psi_many(

@@ -374,17 +374,16 @@ def test_failed_interval_leaves_the_others_unchanged():
     assert values[2] == integrate(lambda x: np.exp(-x * x), -1.0, 3.0)
 
 
-def test_first_raises_entry_0_or_the_lowest_failed_entry_of_the_batch():
+def test_first_raises_the_lowest_failed_entry_of_the_batch():
     def f(x, owner):
         return np.where(owner[:, None] >= 1, np.nan, x)
 
     values, errors = integrate_many(f, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-    assert numerics.first(values, errors) == 0.5
     with pytest.raises(QuadratureError) as caught:
-        numerics.first(values, errors, whole=True)
+        numerics.first(values, errors)
     assert caught.value is errors[1]
     values, errors = integrate_many(f, [0.0], [1.0])
-    assert numerics.first(values, errors, whole=True) is values
+    assert numerics.first(values, errors) is values
 
 
 def test_vector_integrand_meets_each_component_tolerance():
