@@ -27,7 +27,6 @@ from .phase_diagram import OUTPUT_KINDS, SweepError, SweepResult, SweepSpec, run
 from .solvers import (
     hc_slope_at_tc,
     solve_gap_squared,
-    solve_gap_squared_many,
     solve_hc,
     solve_hc_many,
     solve_tau1,
@@ -39,7 +38,7 @@ from .thermo import (
     entropy_gap,
     entropy_gap_fd,
     load_dos_table,
-    psi,
+    psi_many,
 )
 
 __all__ = ["main", "CliConfig"]
@@ -316,19 +315,24 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
 
     # H_c on the curve's grid and at mid_T, shared with the entropy checks.
     *hcs, hc_mid = solve_hc_many([*np.linspace(dbox.T0, tau1, 10), mid_T], p, dbox, root, quad)
+    # psi in the paired state (mid_T, 0) and, once H_c(mid_T) is solved, on
+    # the critical curve: their gaps serve the gap checks.
+    dos = dos_linear(1.0, 0.5)
+    critical = [] if isinstance(hc_mid, NumericsError) else [hc_mid]
+    paired, *at_hc = psi_many(mid_T, [0.0, *critical], p, dos, dbox, root, quad)
     try:
         hcs = np.array([unwrap(hc) for hc in hcs])
         add("hc-curve", "H_c nonincreasing, H_c(tau1) = 0", True,
             np.all(hcs[1:] <= hcs[:-1] + root.x_tol) and hcs[-1] == 0.0,
             f"H_c(T0) = {hcs[0]:.6g}")
-        gap_at_hc, sol = solve_gap_squared_many(mid_T, [unwrap(hc_mid), 0.0], p, dbox, root, quad)
-        gap_at_hc = unwrap(gap_at_hc)
+        unwrap(hc_mid)  # raises the error of H_c(mid_T), if it failed
+        gap_at_hc = unwrap(at_hc[0]).gap
         add("gap-hc-consistency", "gap vanishes on the critical curve", True,
             gap_at_hc.boundary and gap_at_hc.Y == 0.0)
         slope = hc_slope_at_tc(p, root, quad, tau1=tau1)
         add("hc-slope-sign", "closed-form slope at tau1 is negative", True, slope < 0,
             f"slope {slope:.4f}")
-        sol = unwrap(sol)
+        sol = unwrap(paired).gap
         add("gap-bracket", "squared gap solves inside (0, Y0]", True,
             (not sol.boundary) and 0 < sol.Y <= dbox.Y0,
             f"Y = {sol.Y:.6g}, residual {sol.residual:.2e}")
@@ -337,8 +341,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
 
     # Soft checks: physically expected, not proven; reported but non-fatal.
     try:
-        dos = dos_linear(1.0, 0.5)
-        tp = psi(mid_T, 0.0, p, dos, dbox, root, quad)
+        tp = unwrap(paired)
         add("psi-negative", "grand-potential difference < 0 in the paired state", False,
             tp.psi < 0, f"psi = {tp.psi:.3e}")
         hc_mid = unwrap(hc_mid)

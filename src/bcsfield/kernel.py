@@ -183,11 +183,10 @@ def zeeman_edges(s, h, Y):
 def _integrate_states(pointwise, T, H, Y, p: MaterialParams, quad: QuadSpec | None):
     """Integrate ``pointwise(T, H, Y, xi, p)`` over the pairing window for every state.
 
-    The quadrature starts graded toward xi = -s, where J's poles nearest the
-    real axis sit hypot(pi T, sqrt(Y)) off it, and toward the Zeeman edges
-    (width pi T).
+    T, H and Y are checked 1-d arrays of one length.  The quadrature starts
+    graded toward xi = -s, where J's poles nearest the real axis sit
+    hypot(pi T, sqrt(Y)) off it, and toward the Zeeman edges (width pi T).
     """
-    T, H, Y = _states(T, H, Y)
     w = p.hbar_omega_D
     s = _shift(H, p)
     cuts = np.array([-s, *zeeman_edges(s, p.mu_B * H, Y)]).T
@@ -210,6 +209,16 @@ def F_eval_many(
     ``errors``; the other states are exactly what :func:`F_eval` returns
     for them one at a time.
     """
+    return _F_many(*_states(T, H, Y), p, quad)
+
+
+def _F_many(T, H, Y, p: MaterialParams, quad: QuadSpec | None):
+    """:func:`F_eval_many` without the argument checks.
+
+    For callers that have checked T, H and Y once and evaluate F at many
+    iterates of them; the three broadcast to one 1-d shape.
+    """
+    T, H, Y = np.broadcast_arrays(T, H, Y)
     values, errors = _integrate_states(integrand_J, T, H, Y, p, quad)
     return values - 1.0 / p.U1, errors
 
@@ -293,7 +302,7 @@ def F_partials_many(
     T, H, Y, p: MaterialParams, quad: QuadSpec | None = None
 ) -> tuple[np.ndarray, dict[int, QuadratureError]]:
     """(F_T, F_H, F_Y) at a batch of states: ``(values of shape (m, 3), errors)``."""
-    values, errors = _integrate_states(_dJ_all, T, H, Y, p, quad)
+    values, errors = _integrate_states(_dJ_all, *_states(T, H, Y), p, quad)
     return values.reshape(-1, 3), errors
 
 

@@ -238,8 +238,11 @@ def _gk15_many(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
         fx = np.asarray(f(mid[s, None] + half[s, None] * _XGK, owner[s]), dtype=float)
         components = fx.shape[2:]
         fx = fx.reshape(fx.shape[0], 15, -1)
-        kronrod = half[s, None] * (fx * _WGK[:, None]).sum(axis=1)
-        gauss = half[s, None] * (fx[:, 1::2] * _WG[:, None]).sum(axis=1)
+        # einsum sums each row alone; a BLAS product (``@``) may round a row
+        # differently with its position and the slice's size, and a batch
+        # must give each panel the estimate it gets alone.
+        kronrod = half[s, None] * np.einsum("kjc,j->kc", fx, _WGK)
+        gauss = half[s, None] * np.einsum("kjc,j->kc", fx[:, 1::2], _WG)
         est.append(kronrod)
         err.append(np.abs(kronrod - gauss))
     if len(est) == 1:
@@ -349,10 +352,10 @@ def integrate_many(
 
     Args:
         f: ``f(x, owner)`` with ``x`` a (k, 15) array of abscissas and
-            ``owner`` the (k,) interval index of each row; returns an array
-            of shape (k, 15), or (k, 15, c) for c components integrated on
-            shared panels (a panel is then accepted when every component
-            meets its own tolerance).
+            ``owner`` the (k,) interval index of each row, in ascending
+            order; returns an array of shape (k, 15), or (k, 15, c) for c
+            components integrated on shared panels (a panel is then
+            accepted when every component meets its own tolerance).
         lo, hi: 1-d arrays of bounds, ``lo <= hi`` elementwise.
         spec: Tolerances; defaults to ``QuadSpec()``.
         features: Optional ``(cuts, scales)``, two arrays of shape (m, c):
@@ -510,11 +513,11 @@ def find_root_decreasing_many(
     points ``x`` and returns ``(values, errors)``, with ``errors`` a dict from
     position in ``idx`` to the ``NumericsError`` that failed it.  Each
     function takes exactly the iterates :func:`find_root_decreasing` takes
-    for it alone: both endpoints first, then a false-position step, then
-    Chandrupatla's steps.  Each of those is an inverse quadratic
-    interpolation through the bracket ends and the point last replaced when
-    it is monotone on the bracket, else a bisection; a bracket that has not
-    halved over the last two steps is bisected.  Every step lands at least
+    for it alone: both endpoints first (in one call of ``g``), then a
+    false-position step, then Chandrupatla's steps.  Each of those is an
+    inverse quadratic interpolation through the bracket ends and the point
+    last replaced when it is monotone on the bracket, else a bisection; a
+    bracket that has not halved over the last two steps is bisected.  Every step lands at least
     x_tol / 2 inside the bracket, and nothing is evaluated outside [lo, hi].
 
     Returns:
@@ -523,7 +526,9 @@ def find_root_decreasing_many(
         ended it: ``RootBelowBracket`` if ``g(lo) <= f_tol``,
         ``BracketError`` if ``g(hi) > f_tol``, ``NumericsError`` if MAX_ITER
         is exhausted or g is NaN at an iterate (naming it), or an error
-        returned by ``g``.
+        returned by ``g``.  The outcome at lo comes first: g(lo) <= f_tol
+        gives ``RootBelowBracket`` even where g(hi) fails, and where both
+        ends fail the error at lo is the one returned.
 
     Raises:
         ValueError: unless hi > lo for every function.
@@ -540,35 +545,39 @@ def find_root_decreasing_many(
     out: list = [None] * lo.size
 
     def evaluate(idx, x):
+        # g at x, and the error of each failed position (g's own error
+        # before a NaN value).
         if not idx.size:
-            return x, np.zeros(0, dtype=bool)
+            return x, {}
         values, errors = g(x, idx)
         values = np.asarray(values, dtype=float)
-        live = np.ones(idx.size, dtype=bool)
-        for j, exc in errors.items():
-            out[idx[j]] = exc
-            live[j] = False
-        for j in np.flatnonzero(live & np.isnan(values)):
-            out[idx[j]] = NumericsError(f"g is NaN at x = {float(x[j])!r}")
-            live[j] = False
-        return values, live
+        errors = dict(errors)
+        for j in np.flatnonzero(np.isnan(values)):
+            errors.setdefault(int(j), NumericsError(f"g is NaN at x = {float(x[j])!r}"))
+        return values, errors
 
-    idx = np.arange(lo.size)
-    g_lo, live = evaluate(idx, lo)
-    for i in np.flatnonzero(live & (g_lo <= spec.f_tol)):
-        out[idx[i]] = RootBelowBracket(float(lo[i]), float(g_lo[i]))
-    live &= ~(g_lo <= spec.f_tol)
-    idx, a, fa = idx[live], lo[live], g_lo[live]
-    g_hi, live = evaluate(idx, hi[idx])
+    # Both endpoints in one call; lo's outcome comes first.
+    n = lo.size
+    idx = np.arange(n)
+    values, errors = evaluate(np.concatenate([idx, idx]), np.concatenate([lo, hi]))
+    g_lo, g_hi = values[:n], values[n:]
+    failed = np.zeros(2 * n, dtype=bool)
+    failed[list(errors)] = True
+    for j in sorted(errors, reverse=True):  # lo's error last, so it stands
+        out[j % n] = errors[j]
+    below = ~failed[:n] & (g_lo <= spec.f_tol)
+    for i in np.flatnonzero(below):
+        out[i] = RootBelowBracket(float(lo[i]), float(g_lo[i]))
+    live = ~(failed[:n] | failed[n:] | below)
     for i in np.flatnonzero(live & (g_hi > spec.f_tol)):
-        out[idx[i]] = BracketError(
-            f"no root in bracket: g({float(hi[idx[i]])!r}) = {float(g_hi[i])!r} > 0 "
+        out[i] = BracketError(
+            f"no root in bracket: g({float(hi[i])!r}) = {float(g_hi[i])!r} > 0 "
             "for a decreasing function"
         )
     for i in np.flatnonzero(live & (g_hi > 0.0) & (g_hi <= spec.f_tol)):
-        out[idx[i]] = RootResult(float(hi[idx[i]]), float(g_hi[i]), 0)
+        out[i] = RootResult(float(hi[i]), float(g_hi[i]), 0)
     live &= ~(g_hi > 0.0)
-    idx, x1, f1, x2, f2 = idx[live], a[live], fa[live], hi[idx[live]], g_hi[live]
+    idx, x1, f1, x2, f2 = idx[live], lo[live], g_lo[live], hi[live], g_hi[live]
     # Chandrupatla's state: x1 is the newest point, x2 the bracket end of the
     # opposite sign and x3 the point x1 replaced.  The first step is false
     # position.
@@ -585,7 +594,11 @@ def find_root_decreasing_many(
         x = x1 + np.clip(t, tlim, 1.0 - tlim) * (x2 - x1)
         inside = (np.minimum(x1, x2) < x) & (x < np.maximum(x1, x2))
         x = np.where(inside, x, 0.5 * (x1 + x2))
-        fx, live = evaluate(idx, x)
+        fx, errors = evaluate(idx, x)
+        live = np.ones(idx.size, dtype=bool)
+        for j, exc in errors.items():
+            out[idx[j]] = exc
+            live[j] = False
         same = (fx > 0.0) == (f1 > 0.0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
@@ -626,7 +639,9 @@ def find_root_decreasing(
     """Find the root of a decreasing function g on [lo, hi].
 
     The batch-of-one case of :func:`find_root_decreasing_many`.  Both
-    endpoints are evaluated up front; nothing is assumed.  The bracket
+    endpoints are evaluated up front, lo first; nothing is assumed.  An
+    exception raised by g is re-raised where it decides the outcome, so
+    ``g(lo) <= f_tol`` signals ``RootBelowBracket`` even if g(hi) raises.  The bracket
     always retains a sign change, and g is never evaluated outside [lo, hi].
     Iteration takes a false-position step, then inverse quadratic steps
     where Chandrupatla's test allows them and bisections elsewhere; the
@@ -646,7 +661,17 @@ def find_root_decreasing(
             iterate, naming it.
     """
     def g_many(x, idx):
-        return [g(float(x[0]))], {}
+        # An exception of g is held as that point's error, so that it is
+        # raised only where it decides the outcome: a g(hi) that raises
+        # after g(lo) <= f_tol still gives RootBelowBracket.
+        values, errors = [], {}
+        for j, v in enumerate(x.tolist()):
+            try:
+                values.append(g(v))
+            except Exception as exc:  # re-raised by unwrap below
+                values.append(math.nan)
+                errors[j] = exc
+        return values, errors
 
     return unwrap(find_root_decreasing_many(g_many, lo, hi, spec)[0])
 

@@ -5,7 +5,7 @@ box, every quantity of interest is the unique root of F along one axis:
 
 * ``solve_tau1``        -- zero-field transition temperature, root in T at
                            H = Y = 0;
-* ``solve_hc``          -- critical field at temperature T, root in H at
+* ``solve_hc``          -- critical field at temperature T, root in H^2 at
                            Y = 0;
 * ``solve_gap_squared`` -- squared gap f(T, H), root in Y;
 * ``implicit_partials`` -- df/dT and df/dH by implicit differentiation;
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import F_eval, F_eval_many, F_partials_many, StatePoint, fermi_delta
+from .kernel import F_eval, F_partials_many, StatePoint, _F_many, fermi_delta
 from .numerics import (
     DEFAULT_ROOT,
     BracketError,
@@ -39,7 +39,8 @@ from .numerics import (
     RootSpec,
     find_root_decreasing,
     find_root_decreasing_many,
-    integrate,
+    first,
+    integrate_many,
     unwrap,
 )
 from .params import Z_CAP, DomainBox, MaterialParams, check_arg
@@ -217,15 +218,13 @@ def _solve_gaps(T, H, p, dbox, spec, quad) -> list[GapSolution | NumericsError]:
     """
     T, H = (a.ravel() for a in np.broadcast_arrays(
         check_arg("T", T, positive=True), check_arg("H", H)))
-    for t, h in zip(T.tolist(), H.tolist()):
-        z = p.mu_B * h / t
-        if z > Z_CAP:
-            warnings.warn(DomainWarning(_OUTSIDE_ZONE, t, h, z, dbox.T0), stacklevel=3)
-        if t < dbox.T0:
-            warnings.warn(DomainWarning(_BELOW_T0, t, h, z, dbox.T0), stacklevel=3)
+    z = p.mu_B * H / T
+    for message, warn in ((_OUTSIDE_ZONE, z > Z_CAP), (_BELOW_T0, T < dbox.T0)):
+        for t, h, z_i in zip(T[warn].tolist(), H[warn].tolist(), z[warn].tolist()):
+            warnings.warn(DomainWarning(message, t, h, z_i, dbox.T0), stacklevel=3)
 
     def g(Y, idx):
-        return F_eval_many(T[idx], H[idx], Y, p, quad)
+        return _F_many(T[idx], H[idx], Y, p, quad)
 
     roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.Y0), spec)
     out: list[GapSolution | NumericsError] = []
@@ -252,23 +251,28 @@ def solve_hc_many(
     """Critical fields at a batch of temperatures, in one lockstep root iteration.
 
     Returns one entry per temperature: H_c(T) as :func:`solve_hc` gives it,
-    or the ``NumericsError`` that failed it.
+    or the ``NumericsError`` that failed it.  The root is taken in
+    v = (H / H_max)^2 (see :func:`solve_hc`).
 
     Raises:
         ValueError: naming T, for a non-finite or non-positive temperature.
     """
     T = check_arg("T", T, positive=True).ravel()
+    if spec is None:
+        spec = DEFAULT_ROOT
+    # x_tol is a width in H; solve_hc says what it bounds in v.
+    spec_v = RootSpec(x_tol=spec.x_tol / dbox.H_max, f_tol=spec.f_tol)
 
-    def g(H, idx):
-        return F_eval_many(T[idx], H, 0.0, p, quad)
+    def g(v, idx):
+        return _F_many(T[idx], dbox.H_max * np.sqrt(v), 0.0, p, quad)
 
-    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.H_max), spec)
+    roots = find_root_decreasing_many(g, np.zeros(T.size), np.ones(T.size), spec_v)
     out: list[float | NumericsError] = []
     for t, r in zip(T.tolist(), roots):
         if isinstance(r, RootBelowBracket):
             r = 0.0
         elif isinstance(r, RootResult):
-            r = r.root
+            r = dbox.H_max * math.sqrt(r.root)
         elif isinstance(r, BracketError):
             cause = r
             r = NumericsError(
@@ -288,6 +292,15 @@ def solve_hc(
     quad: QuadSpec | None = None,
 ) -> float:
     """Critical field H_c(T): the unique root of F(T, ., 0) on [0, H_max].
+
+    F is even in H at H = 0 (``hc_slope_at_tc``), so near the transition
+    F(T, H, 0) is nearly linear in H^2 but quadratic in H, and H_c leaves
+    tau1 as K sqrt(tau1 - T).  The root is therefore found in
+    v = (H / H_max)^2 on [0, 1], with g(v) = F(T, H_max sqrt(v), 0), whose
+    upper end is F at exactly H_max; H_c = H_max sqrt(v_c).  It meets
+    ``|F| <= f_tol``, or its final bracket in v is at most ``x_tol / H_max``
+    wide: in H that is x_tol at H_c = H_max / 2, and
+    ``x_tol * H_max / (2 H_c)`` in general.
 
     Returns 0 at (and numerically beyond) the transition temperature, where
     F(T, 0, 0) <= 0 already.
@@ -385,17 +398,14 @@ def hc_slope_at_tc(
         tau1 = solve_tau1(p, spec, quad)
     w = p.hbar_omega_D
 
-    def num_integrand(xi):
-        return 2.0 * fermi_delta(np.asarray(xi) / tau1)
-
-    def den_integrand(xi):
-        u = np.asarray(xi, dtype=float) / tau1
+    def integrand(xi, owner):
+        # Numerator and denominator on shared panels, each to its tolerance.
+        u = xi / tau1
         small = np.abs(u) < 1e-4
         u_safe = np.where(small, 1.0, u)
         direct = np.tanh(0.5 * u_safe) / u_safe - 2.0 * fermi_delta(u_safe)
-        return np.where(small, u * u / 12.0, direct)
+        return np.stack([2.0 * fermi_delta(u), np.where(small, u * u / 12.0, direct)], axis=-1)
 
-    num = integrate(num_integrand, -w, w, quad)
-    den = integrate(den_integrand, -w, w, quad)
+    num, den = (float(v) for v in first(*integrate_many(integrand, [-w], [w], quad))[0])
     return -num / (p.a * tau1 * den)
 

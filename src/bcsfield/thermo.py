@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import fermi, log1p_exp_neg, zeeman_edges
+from .kernel import zeeman_edges
 # ``integrate`` stays importable here: bench/spans.py patches thermo.integrate
 # by name.
 from .numerics import (  # noqa: F401
@@ -180,18 +180,24 @@ def _bracket(xi, T, Y, s, h, spin):
     Up:   eta - eta^2/E - (Y/E) f(beta(E + h)) - 2T ln(1 + e^(-beta(E + h)));
     down: eta - (eta^2 + 2Y)/E + (Y/E) f(-beta(E - h)) - 2T ln(1 + e^(-beta(E - h))).
     The spin sign folds the two into one expression that rounds exactly as
-    either form; at Y = 0 both reduce to eta - |eta| plus the same log term.
-    Every argument after ``xi`` may be an array that broadcasts against it.
+    either form, and the Fermi function and the log term share one
+    e^(-|x|).  Every argument after ``xi`` may be an array that broadcasts
+    against it.  Y is 0 on every node, where both reduce to eta - |eta|
+    plus the log term (the normal form), or > 0 on every node.
     """
     eta = np.asarray(xi, dtype=float) + s
-    beta = 1.0 / T
-    normal = Y == 0.0
-    E = np.where(normal, np.abs(eta), np.sqrt(eta * eta + Y))
-    E_safe = np.where(normal, 1.0, E)
-    gapped = (eta - (eta * eta + (1.0 - spin) * Y) / E_safe
-              - spin * (Y / E_safe) * fermi(spin * (beta * (E + spin * h))))
-    core = np.where(normal, eta - E, gapped)
-    return core - 2.0 * T * log1p_exp_neg(beta * (E + spin * h))
+    paired = np.any(Y)
+    E = np.sqrt(eta * eta + Y) if paired else np.abs(eta)
+    x = (1.0 / T) * (E + spin * h)
+    t = np.exp(-np.abs(x))
+    log_term = np.maximum(-x, 0.0) + np.log1p(t)
+    if paired:
+        # fermi(spin x), from the same t.
+        f = np.where(spin * x >= 0, t / (1.0 + t), 1.0 / (1.0 + t))
+        core = eta - (eta * eta + (1.0 - spin) * Y) / E - spin * (Y / E) * f
+    else:
+        core = eta - E
+    return core - 2.0 * T * log_term
 
 
 def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
@@ -203,10 +209,16 @@ def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
     every panel analytic; a split point outside the window leaves one
     empty piece.  All 4m pieces go to one quadrature, each graded toward
     xi = -s (width min(sqrt(Y), pi T), or pi T at Y = 0) and toward the
-    Zeeman edges (width pi T).
+    Zeeman edges (width pi T).  The pieces of the states at Y = 0 come
+    first, so that every integrand call evaluates the normal and the
+    paired bracket each on its own block of nodes.
     """
-    T, H, Y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (T, H, Y))
+    T, H, Y = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (T, H, Y))))
+    order = np.argsort(Y != 0.0, kind="stable")
+    T, H, Y = T[order], H[order], Y[order]
     m = T.size
+    normal_pieces = 4 * int(np.count_nonzero(Y == 0.0))
     s = p.a * H + p.b * H * H
     h = p.mu_B * H
     w = p.hbar_omega_D
@@ -224,15 +236,21 @@ def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
     scales = np.array([np.where(Y > 0, np.minimum(np.sqrt(Y), pi_T), pi_T), pi_T, pi_T]).T[state]
 
     def f(xi, k):
-        i = state[k, None]
-        return dos_eval(dos, xi + p.mu, p) * _bracket(xi, T[i], Y[i], s[i], h[i], spin[k, None])
+        out = np.empty_like(xi)
+        cut = int(np.searchsorted(k, normal_pieces))  # k is sorted
+        for rows in (slice(0, cut), slice(cut, k.size)):
+            if rows.start < rows.stop:
+                i = state[k[rows], None]
+                out[rows] = _bracket(xi[rows], T[i], Y[i], s[i], h[i], spin[k[rows], None])
+        return dos_eval(dos, xi + p.mu, p) * out
 
     pieces, piece_errors = integrate_many(f, lo, hi, quad, (cuts, scales))
     pieces = pieces.reshape(m, 4)
-    values = 0.5 * ((pieces[:, 0] + pieces[:, 1]) + (pieces[:, 2] + pieces[:, 3]))
+    values = np.empty(m)
+    values[order] = 0.5 * ((pieces[:, 0] + pieces[:, 1]) + (pieces[:, 2] + pieces[:, 3]))
     errors: dict[int, QuadratureError] = {}
     for k in sorted(piece_errors):
-        errors.setdefault(k // 4, piece_errors[k])
+        errors.setdefault(int(order[k // 4]), piece_errors[k])
     return values, errors
 
 

@@ -329,14 +329,15 @@ def test_check_solves_the_mid_critical_field_once(capsys, monkeypatch):
 
 
 def test_check_work_does_not_grow_with_samples(capsys, integrand_calls):
-    # Each check is one batched call, so the box states share its levels.
+    # Each check is one batched call, so the box states share its levels;
+    # one psi_many serves the gap checks and psi-negative.
     def calls(samples):
         integrand_calls[0] = 0
         assert run(capsys, "--json", "check", "--samples", str(samples))[0] == 0
         return integrand_calls[0]
 
     few, many = calls(4), calls(40)
-    assert few == many <= 60
+    assert few == many <= 37
 
 
 def test_check_rejects_negative_samples(capsys):

@@ -534,3 +534,73 @@ def test_lockstep_failures_stay_per_function():
     assert isinstance(out[1], RootBelowBracket)
     assert isinstance(out[2], BracketError)
     assert out[0].root == 0.5 and out[3].root == 0.25
+
+
+def test_root_below_bracket_stands_when_the_upper_end_fails():
+    # Both ends are one call of g, but g(lo) <= f_tol decides first.
+    def g_many(x, idx):
+        upper = x == 1.0
+        values = np.where(upper & (idx == 1), np.nan, -x)
+        failed = np.flatnonzero(upper & (idx == 0))
+        return values, {j: NumericsError("g failed at hi") for j in failed}
+
+    out = find_root_decreasing_many(g_many, np.zeros(2), np.ones(2))
+    assert all(isinstance(r, RootBelowBracket) and r.value == 0.0 for r in out)
+
+    def raising_at_hi(x):
+        if x == 1.0:
+            raise NumericsError("g failed at hi")
+        return -x
+
+    for g in (raising_at_hi, lambda x: math.nan if x == 1.0 else -x):
+        with pytest.raises(RootBelowBracket):
+            find_root_decreasing(g, 0.0, 1.0)
+
+
+def test_the_lower_end_error_is_reported_when_both_ends_fail():
+    lo_error, hi_error = NumericsError("at lo"), NumericsError("at hi")
+
+    def g_many(x, idx):
+        # Function 0 fails at both ends, function 1 is NaN at both.
+        errors = {j: lo_error if x[j] == 0.0 else hi_error for j in np.flatnonzero(idx == 0)}
+        return np.where(idx == 1, np.nan, 1.0), errors
+
+    out = find_root_decreasing_many(g_many, np.zeros(2), np.ones(2))
+    assert out[0] is lo_error
+    assert isinstance(out[1], NumericsError) and "NaN at x = 0.0" in str(out[1])
+
+    def g(x):
+        raise ValueError(f"bad x = {x!r}")
+
+    with pytest.raises(ValueError, match=r"x = 0\.0"):
+        find_root_decreasing(g, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("components", [1, 3])
+def test_gk15_estimate_of_a_panel_does_not_depend_on_its_slice(components):
+    # The batch = scalar contract: a panel's estimate is the same double
+    # whatever rows share its integrand call.
+    rng = np.random.default_rng(7)
+    n = 40
+    a = np.sort(rng.uniform(-3.0, 3.0, n))
+    b = a + 10.0 ** rng.uniform(-6, 0, n)
+    owner = np.arange(n)
+    scale = 10.0 ** rng.uniform(-8, 8, (n, 1, 1))
+
+    def f(x, owner):
+        x = x[..., None]
+        values = scale[owner] * np.exp(np.sin(7.0 * x) + x * np.arange(1, components + 1))
+        return values if components > 1 else values[..., 0]
+
+    est, err, _ = numerics._gk15_many(f, a, b, owner)
+    # Against the sums formed term by term: only the summation order differs.
+    fx = np.asarray(f(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * numerics._XGK, owner))
+    fx = fx.reshape(n, 15, -1) * (0.5 * (b - a))[:, None, None]
+    terms = fx * numerics._WGK[:, None]
+    bound = 15 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    assert np.all(np.abs(est - terms.sum(axis=1)) <= bound)
+    for size in (1, 2, 3, 5, 7, 12, 33):
+        for start in range(n - size + 1):
+            s = slice(start, start + size)
+            part, part_err, _ = numerics._gk15_many(f, a[s], b[s], owner[s])
+            assert np.array_equal(part, est[s]) and np.array_equal(part_err, err[s])

@@ -274,3 +274,17 @@ def test_phase_sweep_work(p, dbox, integrand_calls):
     calls, panels = integrand_calls
     assert calls <= 30
     assert panels <= 1.15 * 17789
+
+
+def test_small_sweeps_take_few_integrand_calls(p, dbox, integrand_calls):
+    # The benchmark's sweep sizes, with H_c solved in H^2 and both root
+    # ends in one call.
+    dos = dos_linear(1.0, 0.5)
+    run_sweep(SweepSpec(T_grid=(dbox.T0, dbox.tau1, 6), H_grid="auto",
+                        outputs=frozenset({"hc_curve", "gap_surface", "psi_surface"})),
+              p, dos, dbox)
+    assert integrand_calls[0] <= 15
+    integrand_calls[0] = 0
+    run_sweep(SweepSpec(T_grid=(dbox.T0, 0.97 * dbox.tau1, 3),
+                        outputs=frozenset({"entropy_curve"})), p, dos, dbox)
+    assert integrand_calls[0] <= 22

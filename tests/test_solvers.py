@@ -24,8 +24,8 @@ from bcsfield import (
     solve_hc,
     solve_tau1,
 )
-from bcsfield.kernel import F_eval_many
-from bcsfield.numerics import BracketError, NumericsError, RootSpec
+from bcsfield.kernel import F_eval_many, fermi_delta
+from bcsfield.numerics import BracketError, NumericsError, RootSpec, integrate
 from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_gap_squared_many, solve_hc_many
 from bcsfield.thermo import psi_many
 
@@ -209,6 +209,21 @@ def test_hc_exceeding_cap_is_an_error(p, tau1):
     low_box = domain_from(p, 0.5 * tau1, tau1)
     with pytest.raises(NumericsError, match="raise T0"):
         solve_hc(0.5 * tau1, p, low_box)
+    # The upper end of the root in (H / H_max)^2 is F at exactly H_max; in a
+    # batch the failure stays with its temperature.
+    over, under = solve_hc_many([0.5 * tau1, 0.95 * tau1], p, low_box)
+    assert isinstance(over, NumericsError) and "raise T0" in str(over)
+    assert isinstance(over.__cause__, BracketError)
+    assert under == solve_hc(0.95 * tau1, p, low_box)
+
+
+@pytest.mark.parametrize("low", [0.8, 0.92])
+def test_hc_grid_to_tau1_takes_few_integrand_calls(p, tau1, dbox, integrand_calls, low):
+    # Near tau1, F(T, H, 0) is nearly linear in H^2, where the roots are
+    # solved: both ends in one call, then a few iterations.
+    hcs = solve_hc_many(np.linspace(low * tau1, tau1, 6), p, dbox)
+    assert integrand_calls[0] <= 5
+    assert hcs[-1] == 0.0 and all(a > b for a, b in zip(hcs, hcs[1:]))
 
 
 def test_hc_square_root_approach_to_transition(p, tau1, dbox):
@@ -285,6 +300,25 @@ def test_slope_scales_exactly_as_inverse_a(p, tau1):
     assert s2 == 0.5 * s1
 
 
+def test_slope_integrals_share_their_panels(p, tau1, integrand_calls):
+    # One two-component quadrature, within the quadrature tolerance of the
+    # two integrals taken alone.
+    slope = hc_slope_at_tc(p, tau1=tau1)
+    assert integrand_calls[0] <= 6
+    w = p.hbar_omega_D
+
+    def den_integrand(xi):
+        u = xi / tau1
+        small = np.abs(u) < 1e-4
+        u = np.where(small, 1.0, u)
+        return np.where(small, (xi / tau1) ** 2 / 12.0,
+                        np.tanh(0.5 * u) / u - 2.0 * fermi_delta(u))
+
+    num = integrate(lambda xi: 2.0 * fermi_delta(xi / tau1), -w, w)
+    den = integrate(den_integrand, -w, w)
+    assert slope == pytest.approx(-num / (p.a * tau1 * den), rel=3e-10)
+
+
 def test_slope_closed_form(p, tau1):
     # The two quadratures have tanh antiderivatives: numerator -> 2 tau1,
     # denominator -> tau1 (1/U1 - 2), both up to exp(-1/tau1) corrections.
@@ -347,6 +381,20 @@ def test_domain_warning_carries_the_state(p, dbox):
     for w in record:
         assert (w.message.T, w.message.H, w.message.T0) == (T, H, dbox.T0)
         assert w.message.z == p.mu_B * H / T
+
+
+def test_domain_warnings_one_per_state_and_condition(p, dbox):
+    T = np.array([0.99, 1.0, 0.98, 1.2]) * dbox.T0
+    H = np.array([0.1, 1.3, 1.3, 0.1]) * T / p.mu_B
+    with pytest.warns(DomainWarning) as record:
+        solve_gap_squared_many(T, H, p, dbox)
+    got = sorted((str(w.message), w.message.T, w.message.H, w.message.z) for w in record)
+    expected = sorted(
+        [("T below the box lower bound T0", T[i], H[i], p.mu_B * H[i] / T[i]) for i in (0, 2)]
+        + [("mu_B H / T > 1.24: outside the monotonicity guarantee zone",
+            T[i], H[i], p.mu_B * H[i] / T[i]) for i in (1, 2)])
+    assert got == expected
+    assert all(w.filename == __file__ for w in record)
 
 
 def test_domain_warning_works_as_a_plain_category_and_pickles():

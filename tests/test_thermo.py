@@ -109,6 +109,61 @@ def test_normal_equals_superconducting_with_zero_gap(p, dbox):
     assert a == b  # identical code path, bit for bit
 
 
+def _bracket_both_forms(xi, T, Y, s, h, spin):
+    """The bracket with both forms on every node, chosen per node by Y."""
+    from bcsfield import fermi, log1p_exp_neg
+
+    eta = xi + s
+    beta = 1.0 / T
+    normal = Y == 0.0
+    E = np.where(normal, np.abs(eta), np.sqrt(eta * eta + Y))
+    E_safe = np.where(normal, 1.0, E)
+    gapped = (eta - (eta * eta + (1.0 - spin) * Y) / E_safe
+              - spin * (Y / E_safe) * fermi(spin * (beta * (E + spin * h))))
+    core = np.where(normal, eta - E, gapped)
+    return core - 2.0 * T * log1p_exp_neg(beta * (E + spin * h))
+
+
+def test_bracket_forms_are_the_per_node_choice_bit_for_bit(p, rng):
+    # Y = 0 and Y > 0 nodes take separate forms with one shared exponential;
+    # every node keeps the value of the form chosen node by node.
+    k = 200
+    xi = rng.uniform(-1.2, 1.2, (k, 15))
+    T = 10.0 ** rng.uniform(-4, -1, (k, 1))
+    s, h = rng.uniform(0.0, 0.05, (k, 1)), rng.uniform(0.0, 0.06, (k, 1))
+    spin = rng.choice([1.0, -1.0], (k, 1))
+    xi[:5] = -s[:5]  # E = 0 at Y = 0
+    for Y in (np.zeros((k, 1)), 10.0 ** rng.uniform(-12, -1, (k, 1))):
+        assert np.array_equal(_bracket(xi, T, Y, s, h, spin),
+                              _bracket_both_forms(xi, T, Y, s, h, spin))
+
+
+def test_omega_batch_keeps_state_order_and_error_keys(p, dbox, monkeypatch):
+    # Paired and normal states interleaved: the normal ones are integrated
+    # first, yet each value and error stays at its state's index.
+    import bcsfield.thermo as thermo
+
+    dos = dos_linear(1.0, 0.5)
+    T = [0.9 * dbox.tau1, 0.85 * dbox.tau1, 0.95 * dbox.tau1, 0.88 * dbox.tau1, 0.9 * dbox.tau1]
+    H = [0.004, 0.01, 0.002, 0.0, 0.0]
+    Y = [1e-3, 0.0, 2e-4, 0.0, 5e-4]
+    values, errors = _omega_many(T, H, Y, p, dos, None)
+    assert not errors
+    for i in range(5):
+        assert values[i] == _omega_many(T[i], H[i], Y[i], p, dos, None)[0][0]
+    bracket = thermo._bracket
+
+    def nan_at(xi, T_, *args):
+        out = bracket(xi, T_, *args)
+        return np.where(np.isin(T_, [T[1], T[2]]), np.nan, out)
+
+    monkeypatch.setattr(thermo, "_bracket", nan_at)
+    failed, errors = _omega_many(T, H, Y, p, dos, None)
+    assert sorted(errors) == [1, 2]
+    assert np.isnan(failed[[1, 2]]).all()
+    assert np.array_equal(failed[[0, 3, 4]], values[[0, 3, 4]])
+
+
 def test_spin_brackets_coincide_at_zero_field_normal_state(p):
     # With the gap forced to zero and H = 0 the two spin windows and their
     # integrands are identical.  (At Y > 0 the channels differ pointwise by
