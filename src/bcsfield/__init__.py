@@ -35,7 +35,6 @@ from .numerics import (
     RootBelowBracket,
     RootResult,
     RootSpec,
-    central_diff,
     find_root_decreasing,
     find_root_decreasing_many,
     integrate,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import F_eval, F_partials_many, StatePoint, _F_many, fermi_delta
+from .kernel import F_partials_many, _F_many, fermi_delta
 from .numerics import (
     DEFAULT_ROOT,
     BracketError,
@@ -142,10 +142,13 @@ def solve_tau1(
 
     def g(T: float) -> float:
         if T not in values:
-            values[T] = F_eval(StatePoint(T, 0.0, 0.0), p, quad)
+            values[T] = float(first(*_F_many(np.array([T]), 0.0, 0.0, p, quad))[0])
         return values[T]
 
     seed = TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
+    # Every T evaluated is the seed times a positive factor, or lies between
+    # two such points: checking the seed checks them all.
+    check_arg("T", seed, positive=True)
     if abs(g(seed)) <= spec.f_tol:
         return seed
     # F(T_s) is the positive tail; a negative value is quadrature error, and

@@ -10,6 +10,11 @@ def trapezoid(y, x):
     return dx * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1])
 
 
+def central_diff(f, x, h):
+    """Second-order central difference (f(x+h) - f(x-h)) / (2h); test oracle."""
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
 @pytest.fixture(scope="session")
 def p():
     return MaterialParams()  # hbar_omega_D=1, mu=10, U1=0.15, a=0.5, b=0.1, mu_B=1

@@ -13,7 +13,6 @@ from bcsfield import (
     MaterialParams,
     QuadSpec,
     StatePoint,
-    central_diff,
     fermi,
     integrand_J,
     quasiparticle_energy,
@@ -21,6 +20,7 @@ from bcsfield import (
 )
 from bcsfield.kernel import F_eval_many, F_partials_many, _dJ_all, _Z_LIMIT, _Z_SERIES
 from bcsfield.solvers import TAU1_WEAK_COUPLING
+from conftest import central_diff
 
 
 def _dJ_column(k):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from bcsfield.numerics import (
     QuadSpec,
     RootBelowBracket,
     RootSpec,
-    central_diff,
     find_root_decreasing,
     find_root_decreasing_many,
     integrate,
@@ -291,27 +291,6 @@ def test_invalid_bracket_ordering():
         find_root_decreasing(lambda x: -x, 1.0, 1.0)
 
 
-# -------------------------------------------------------- central difference
-
-
-def test_central_diff_quadratic():
-    assert central_diff(lambda x: x * x, 3.0, 1e-4) == pytest.approx(6.0, abs=1e-7)
-
-
-def test_central_diff_sine_at_zero():
-    h = 1e-5
-    assert central_diff(math.sin, 0.0, h) == pytest.approx(1.0, abs=h * h)
-
-
-def test_central_diff_constant_zero():
-    assert central_diff(lambda x: 42.0, 0.3, 1e-3) == 0.0
-
-
-def test_central_diff_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        central_diff(math.sin, 0.0, 0.0)
-
-
 # ------------------------------------------------------------ batch paths
 
 
@@ -504,6 +483,128 @@ def test_malformed_features_rejected(cuts, scales):
         integrate_many(lambda x, owner: x, [0.0, 0.0], [1.0, 1.0], features=(cuts, scales))
 
 
+def _level0_reference(lo, hi, cuts, scales):
+    """Graded level 0 built cut by cut and sorted with np.lexsort: the oracle.
+
+    The construction ``numerics._level0`` replaces.  Equal cuts of one
+    interval each grade their whole cell here, so the oracle holds for
+    inputs without them.
+    """
+    m, c = cuts.shape
+    mid = 0.5 * (cuts[:, :, None] + cuts[:, None, :])
+    below = np.where(cuts[:, None, :] < cuts[:, :, None], mid, -np.inf).max(axis=2)
+    above = np.where(cuts[:, None, :] > cuts[:, :, None], mid, np.inf).min(axis=2)
+    a, b = lo[:, None], hi[:, None]
+    below = np.minimum(np.maximum(below, a), b)
+    above = np.minimum(np.maximum(above, a), b)
+    reach = np.stack([cuts - below, above - cuts])
+    count = np.frexp(reach)[1] - np.frexp(scales)[1] + 3
+    count = np.where(reach > 0, np.maximum(count, 1), 0).ravel()
+    n = m * c
+    side = np.repeat(np.arange(2 * n), count)
+    k = np.arange(side.size) - (np.cumsum(count) - count)[side]
+    cut = side % n
+    step = np.ldexp(np.where(side < n, -0.5, 0.5) * scales.ravel()[cut], k)
+    of = np.concatenate([np.arange(n), cut])
+    x = np.concatenate([cuts.ravel(), cuts.ravel()[cut] + step])
+    x = np.minimum(np.maximum(x, below.ravel()[of]), above.ravel()[of])
+    x = np.concatenate([lo, hi, x])
+    who = np.concatenate([np.arange(m), np.arange(m), of // c])
+    order = np.lexsort((x, who))
+    x, who = x[order], who[order]
+    panel = (who[1:] == who[:-1]) & (x[1:] > x[:-1])
+    return who[:-1][panel], x[:-1][panel], x[1:][panel]
+
+
+def _same_panels(got, want):
+    return all(u.dtype == v.dtype and np.array_equal(u, v) for u, v in zip(got, want))
+
+
+@st.composite
+def _graded_batches(draw):
+    """Intervals (some empty) with 1-4 distinct cuts each, some absent or outside."""
+    m = draw(st.integers(0, 5))
+    c = draw(st.integers(1, 4))
+    lo = np.array(draw(st.lists(st.floats(-2.0, 1.0), min_size=m, max_size=m)))
+    width = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=m, max_size=m))
+    cuts = np.array([draw(st.lists(st.floats(-3.0, 3.0), min_size=c, max_size=c, unique=True))
+                     for _ in range(m)]).reshape(m, c)
+    absent = np.array(draw(st.lists(st.booleans(), min_size=m * c, max_size=m * c)), dtype=bool)
+    cuts[absent.reshape(m, c)] = np.nan
+    log_scale = draw(st.lists(st.floats(-310.0, 0.0), min_size=m * c, max_size=m * c))
+    scales = (10.0 ** np.array(log_scale)).reshape(m, c)
+    return lo, lo + np.array(width), cuts, scales
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_graded_batches())
+def test_level_0_equals_the_sorted_construction(batch):
+    # Scales reach 1e-310 (subnormal), about 1030 steps per side.
+    lo, hi, cuts, scales = batch
+    got = numerics._level0(lo, hi, (cuts, scales))
+    assert _same_panels(got, _level0_reference(lo, hi, cuts, scales))
+    assert np.all(np.diff(got[0]) >= 0) and np.all(got[1] < got[2])
+
+
+def test_equal_cuts_grade_as_one_with_the_smallest_scale():
+    lo, hi = np.array([-1.0, -1.0, 0.0]), np.array([1.0, 2.0, 1.0])
+    cuts = np.array([[0.25, 0.25, 0.5], [0.0, 0.0, 0.0], [np.nan, 2.0, 2.0]])
+    scales = np.array([[1e-3, 1e-6, 0.1], [1e-2, 1e-9, 1e-4], [np.nan, 1e-3, 1e-5]])
+    merged = np.array([[0.25, np.nan, 0.5], [0.0, np.nan, np.nan], [np.nan, 2.0, np.nan]])
+    smallest = np.array([[1e-6, np.nan, 0.1], [1e-9, np.nan, np.nan], [np.nan, 1e-5, np.nan]])
+    got = numerics._level0(lo, hi, (cuts, scales))
+    assert _same_panels(got, _level0_reference(lo, hi, merged, smallest))
+
+
+def test_one_cold_state_does_not_widen_the_level_0_of_a_batch():
+    # 240 box states need at most 7 steps per side; one at scale 1e-300
+    # needs 1000.  A template as wide as that row for every row would take
+    # 241 x 3 x 2001 doubles (11.6 MB) per array, 40 MB at its peak.
+    rng = np.random.default_rng(3)
+    m = 241
+    s = rng.uniform(0.0, 0.05, m)
+    r = rng.uniform(0.0, 0.2, m)
+    cuts = np.column_stack([-s, -s - r, -s + r])
+    scales = np.column_stack([np.hypot(0.1, r), np.full(m, 0.1), np.full(m, 0.1)])
+    cuts[0], scales[0] = [0.0, np.nan, np.nan], [1e-300, np.nan, np.nan]
+    lo, hi = -np.ones(m), np.ones(m)
+    numerics._level0(lo, hi, (cuts, scales))  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        got = numerics._level0(lo, hi, (cuts, scales))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert _same_panels(got, _level0_reference(lo, hi, cuts, scales))
+    assert np.count_nonzero(got[0] == 0) > 1000
+
+
+def test_level_0_budget_sums_as_add_at_does(rng):
+    # np.bincount adds each interval's panels in their order, from 0, as
+    # np.add.at does: the same doubles.
+    m, k, c = 7, 60, 3
+    owner = np.sort(rng.integers(0, m, k))
+    owner[owner == 4] = 3  # an interval without panels
+    lo = -np.ones(m)
+    hi = lo + rng.uniform(1.0, 3.0, m)
+    a = lo[owner] + rng.uniform(0.0, 1.0, k)
+    b = a + rng.uniform(0.0, 0.5, k)
+    est = rng.normal(size=(k, c)) * 10.0 ** rng.uniform(-12, 3, (k, c))
+    est[owner == 2] = 0.0  # no magnitude: the width share alone
+    spec = QuadSpec(1e-10, 1e-12)
+    tol, share = numerics._level0_budget(est, owner, a, b, lo, hi, spec)
+
+    mag = np.abs(est)
+    sums = np.zeros((m, 2 * c))
+    np.add.at(sums, owner, np.concatenate([est, mag], axis=1))
+    sums = sums[owner]
+    width = np.repeat(((b - a) / (hi - lo)[owner])[:, None], c, axis=1)
+    by_value = np.divide(mag, sums[:, c:], out=width.copy(), where=sums[:, c:] > 0)
+    assert np.array_equal(tol, np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sums[:, :c])))
+    assert np.array_equal(share, 0.5 * width + 0.5 * by_value)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     roots=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=6),
@@ -534,6 +635,61 @@ def test_lockstep_failures_stay_per_function():
     assert isinstance(out[1], RootBelowBracket)
     assert isinstance(out[2], BracketError)
     assert out[0].root == 0.5 and out[3].root == 0.25
+
+
+def test_lockstep_functions_ending_on_different_iterations_keep_their_iterates():
+    # Roots found at the bracket end, in one step, in a few and in many;
+    # and functions that fail on their 1st, 4th and 7th evaluation.  Each
+    # takes the points it takes alone, whatever leaves the batch when.
+    funcs = [
+        lambda x: 1e-14 - x,
+        lambda x: 0.3 - x,
+        lambda x: -((x - 0.37) ** 3) - 1e-3 * (x - 0.37),
+        lambda x: math.exp(-20.0 * x) - 0.5,
+        lambda x: 0.01 - x,
+        lambda x: -((x - 0.61) ** 5) - 1e-6 * (x - 0.61),
+        lambda x: 0.7 - x,
+        lambda x: 0.2 - x * x,
+    ]
+    fail_at = {4: 1, 3: 4, 5: 7}
+    spec = RootSpec(x_tol=1e-13, f_tol=1e-13)
+    lo, hi = np.zeros(len(funcs)), np.ones(len(funcs))
+    lo[0], hi[0] = -1.0, 0.0
+
+    def traced(i, seen):
+        def g(x):
+            seen.append(x)
+            if len(seen) == fail_at.get(i):
+                raise NumericsError(f"function {i} failed at x = {x!r}")
+            return funcs[i](x)
+        return g
+
+    seen_batch = [[] for _ in funcs]
+    gs = [traced(i, seen_batch[i]) for i in range(len(funcs))]
+
+    def g_many(x, idx):
+        values, errors = np.empty(x.size), {}
+        for j, (v, i) in enumerate(zip(x.tolist(), idx.tolist())):
+            try:
+                values[j] = gs[i](v)
+            except NumericsError as exc:
+                values[j], errors[j] = math.nan, exc
+        return values, errors
+
+    batch = find_root_decreasing_many(g_many, lo, hi, spec)
+    iterations = set()
+    for i in range(len(funcs)):
+        seen = []
+        try:
+            alone = find_root_decreasing(traced(i, seen), lo[i], hi[i], spec)
+        except NumericsError as exc:
+            assert type(batch[i]) is type(exc) and str(batch[i]) == str(exc)
+        else:
+            assert batch[i] == alone
+            iterations.add(alone.iterations)
+        assert seen_batch[i] == seen
+    assert iterations == {0, 1, 7, 13}
+    assert sum(isinstance(r, NumericsError) for r in batch) == len(fail_at)
 
 
 def test_root_below_bracket_stands_when_the_upper_end_fails():

@@ -24,6 +24,7 @@ from bcsfield import (
     solve_hc,
     solve_tau1,
 )
+from bcsfield import kernel, numerics, solvers
 from bcsfield.kernel import F_eval_many, fermi_delta
 from bcsfield.numerics import BracketError, NumericsError, RootSpec, integrate
 from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_gap_squared_many, solve_hc_many
@@ -73,6 +74,32 @@ def test_tau1_evaluates_each_F_once(p, integrand_calls):
     # graded quadrature's first level (6 calls from one panel).
     solve_tau1(p)
     assert integrand_calls[0] <= 2
+
+
+@pytest.mark.parametrize("U1", [0.1, 0.15, 0.3, 0.8, 3.0])
+def test_tau1_checks_T_once_and_keeps_the_checked_F(U1, monkeypatch):
+    # solve_tau1 checks its seed and evaluates the unchecked F at every
+    # iterate: one check per solve, however many iterates it takes, and
+    # the tau1 that the checked F_eval_many gives, to the bit.
+    p = MaterialParams(U1=U1)
+    checks = []
+    for module in (kernel, numerics, solvers):
+        def counted(*args, _check=module.check_arg, **kwargs):
+            checks.append(args[0])
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(module, "check_arg", counted)
+    fast = solve_tau1(p)
+    assert checks == ["T"]
+    evaluated = []
+
+    def checked(T, H, Y, p, quad):
+        evaluated.append(float(T[0]))
+        return F_eval_many(T, H, Y, p, quad)
+
+    monkeypatch.setattr(solvers, "_F_many", checked)
+    assert solve_tau1(p) == fast
+    assert len(checks) == 2 + 3 * len(evaluated)
 
 
 def test_tau1_strong_coupling_expansion():
