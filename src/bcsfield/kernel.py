@@ -101,9 +101,14 @@ def _shift(H: float, p: MaterialParams) -> float:
 
 
 def quasiparticle_energy(xi, H: float, Y: float, p: MaterialParams):
-    """E = sqrt((xi + a H + b H^2)^2 + Y)."""
+    """E = sqrt((xi + a H + b H^2)^2 + Y).
+
+    When every Y of the call is 0, E is |xi + a H + b H^2|: the same double
+    wherever the square is a normal number, and exact where the square
+    underflows (|eta| < 1.5e-154), where the sqrt form loses digits or is 0.
+    """
     eta = np.asarray(xi, dtype=float) + _shift(H, p)
-    out = np.sqrt(eta * eta + Y)
+    out = np.sqrt(eta * eta + Y) if np.any(Y) else np.abs(eta)
     return float(out) if out.ndim == 0 else out
 
 

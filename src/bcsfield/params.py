@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +112,9 @@ def load_params(
     ignored.  Keys must be among the :class:`MaterialParams` field names;
     unknown keys are errors.  Keys absent from the file keep their defaults;
     ``path=None`` reads no file.  ``overrides`` (e.g. from a command line)
-    are applied after the file and win over it; unknown override keys are
-    errors too.
+    win over the file, key by key, and unknown override keys are errors
+    too.  The merged values are validated once, so an override replaces an
+    invalid file value of its key before any check sees it.
     """
     known = {f.name for f in fields(MaterialParams)}
     values: dict[str, float] = {}
@@ -132,13 +133,11 @@ def load_params(
             values[key] = float(value.strip())
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} has non-numeric value {value.strip()!r}") from None
-    params = replace(MaterialParams(), **values)
-    if overrides:
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown parameter override(s): {sorted(unknown)}")
-        params = replace(params, **overrides)
-    return params
+    overrides = overrides or {}
+    unknown = set(overrides) - known
+    if unknown:
+        raise ValueError(f"unknown parameter override(s): {sorted(unknown)}")
+    return MaterialParams(**{**values, **overrides})
 
 
 @dataclass(frozen=True)

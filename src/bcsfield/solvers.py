@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import F_partials_many, _F_many, fermi_delta
-from .numerics import (
+# ``find_root_decreasing`` stays importable here: bench/spans.py patches
+# solvers.find_root_decreasing by name.
+from .numerics import (  # noqa: F401
     DEFAULT_ROOT,
     BracketError,
     NumericsError,
@@ -106,7 +108,7 @@ class GapSolution:
     boundary: bool
 
 
-_EXPANSION_LIMIT = 60
+_NEWTON_LIMIT = 50
 
 # Weak-coupling ratio tau1 / (hbar_omega_D e^(-1/(2 U1))) = 2 e^gamma / pi.
 TAU1_WEAK_COUPLING = 2.0 * math.exp(np.euler_gamma) / math.pi
@@ -125,54 +127,45 @@ def solve_tau1(
         T_s = (2 e^gamma / pi) hbar_omega_D e^(-1/(2 U1)),
 
     with the positive tail I(u) = integral from u to infinity of
-    (1 - tanh x) / x dx.  The weak-coupling value T_s is therefore the seed
-    and a lower bracket end: it is returned when ``|F(T_s)| <= f_tol``.
-    Otherwise the upper end starts at ``T_s e^min(F(T_s), 1)``, just above
-    the root when F(T_s) is small, and doubles (at most 60 times) until F is
-    negative; the lower end halves from T_s until F is positive.  Each F value
-    is computed once: the expansion and the root finder share the endpoints.
+    (1 - tanh x) / x dx.  The weak-coupling value T_s is the seed and is
+    returned when ``|F(T_s)| <= f_tol``.  Otherwise Newton steps in ln T,
+
+        T <- T exp(F / (2 tanh u)),   u = hbar_omega_D / (2 T),
+
+    run until ``|F| <= f_tol`` or a step moves T by at most ``x_tol``.  In
+    ln T, F has slope -2 tanh u < 0 and curvature 2 u sech^2 u > 0: it is
+    decreasing and convex, so every tangent lies below it.  From F >= 0 the
+    iterates rise monotonically to the root and never overshoot; from F < 0
+    (quadrature noise at the seed) one step lands below the root and the
+    iteration then rises.
 
     Raises:
-        NumericsError: if no sign change appears within the expansion budget
-            (pathological parameters).
+        NumericsError: on a non-finite F or step, or no convergence within
+            50 steps.
     """
     if spec is None:
         spec = DEFAULT_ROOT
-    values: dict[float, float] = {}
-
-    def g(T: float) -> float:
-        if T not in values:
-            values[T] = float(first(*_F_many(np.array([T]), 0.0, 0.0, p, quad))[0])
-        return values[T]
-
-    seed = TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
-    # Every T evaluated is the seed times a positive factor, or lies between
-    # two such points: checking the seed checks them all.
-    check_arg("T", seed, positive=True)
-    if abs(g(seed)) <= spec.f_tol:
-        return seed
-    # F(T_s) is the positive tail; a negative value is quadrature error, and
-    # the bracket then grows downward from T_s.
-    hi = seed * math.exp(min(max(g(seed), 0.0), 1.0))
-    for _ in range(_EXPANSION_LIMIT):
-        if g(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericsError("tau1 bracket expansion failed upward: F stays positive")
-    lo = seed
-    for _ in range(_EXPANSION_LIMIT):
-        if g(lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise NumericsError("tau1 bracket expansion failed downward: F stays negative")
-    try:
-        result = find_root_decreasing(g, lo, hi, spec)
-    except RootBelowBracket:
-        # g(lo) landed within f_tol of zero: lo is the root.
-        return lo
-    return float(result.root)
+    T = TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
+    # Every T evaluated is the seed times e^step for a finite step, and is
+    # checked below to stay in (0, inf): checking the seed checks them all.
+    check_arg("T", T, positive=True)
+    for _ in range(_NEWTON_LIMIT):
+        F = float(first(*_F_many(np.array([T]), 0.0, 0.0, p, quad))[0])
+        if abs(F) <= spec.f_tol:
+            return T
+        step = F / (2.0 * math.tanh(0.5 * p.hbar_omega_D / T))
+        try:
+            nxt = T * math.exp(step)
+        except OverflowError:
+            nxt = math.inf
+        if not 0.0 < nxt < math.inf:  # false for NaN too
+            raise NumericsError(
+                f"tau1 solve: F(T, 0, 0) = {F!r} at T = {T!r} gives no finite Newton step"
+            )
+        if abs(nxt - T) <= spec.x_tol:
+            return nxt
+        T = nxt
+    raise NumericsError(f"tau1 solve: Newton steps did not converge within {_NEWTON_LIMIT}")
 
 
 def solve_gap_squared_many(

@@ -182,6 +182,16 @@ def test_load_params_overrides_win(tmp_path):
     assert p.U1 == 0.2
 
 
+def test_load_params_override_replaces_an_invalid_file_value(tmp_path):
+    # File values and overrides are merged before the one validation.
+    cfg = tmp_path / "mat.cfg"
+    cfg.write_text("U1 = -1.0\na = 0.7\n")
+    p = load_params(cfg, overrides={"U1": 0.2})
+    assert p == MaterialParams(U1=0.2, a=0.7)
+    with pytest.raises(ValueError, match="U1 must be > 0"):
+        load_params(cfg, overrides={"a": 0.3})
+
+
 def test_load_params_unknown_override(tmp_path):
     cfg = tmp_path / "mat.cfg"
     cfg.write_text("U1 = 0.15\n")

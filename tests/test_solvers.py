@@ -102,9 +102,29 @@ def test_tau1_checks_T_once_and_keeps_the_checked_F(U1, monkeypatch):
     assert len(checks) == 2 + 3 * len(evaluated)
 
 
+@pytest.mark.parametrize("U1, most", [(0.16, 2), (0.19, 2), (0.22, 2), (0.25, 3)])
+def test_tau1_newton_takes_few_integrand_calls(U1, most, integrand_calls):
+    # F(T_s) = 8e-5 at U1 = 0.22 and 8e-4 at 0.25: one or two Newton steps
+    # in ln T from the seed, each one F.
+    solve_tau1(MaterialParams(U1=U1))
+    assert integrand_calls[0] <= most
+
+
+@pytest.mark.parametrize("U1", [0.13, 0.19, 0.25, 0.8, 3.0])
+def test_tau1_meets_f_tol(U1):
+    q = MaterialParams(U1=U1)
+    assert abs(F_eval(StatePoint(solve_tau1(q), 0.0, 0.0), q)) <= RootSpec().f_tol
+
+
+def test_tau1_non_finite_F_is_a_tau1_error(monkeypatch):
+    monkeypatch.setattr(solvers, "_F_many", lambda T, H, Y, p, quad: (np.full(T.size, np.nan), {}))
+    with pytest.raises(NumericsError, match="tau1 solve.*nan"):
+        solve_tau1(MaterialParams())
+
+
 def test_tau1_strong_coupling_expansion():
-    # Far from the weak-coupling seed T_s.  At U1 = 3 even the largest upper
-    # start T_s e (for F(T_s) >= 1) lies below tau1, so the doubling runs.
+    # Far from the weak-coupling seed T_s: at U1 = 3 tau1 lies above T_s e,
+    # and Newton's steps in ln T climb there from the seed.
     previous = solve_tau1(MaterialParams(U1=0.3))
     for U1 in (0.8, 3.0):
         strong = MaterialParams(U1=U1)
