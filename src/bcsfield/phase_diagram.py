@@ -150,17 +150,13 @@ def run_sweep(
         result.hc_curve = rows
 
     if "entropy_curve" in spec.outputs:
-        # Each stage solves the rows the stages before it left standing.
-        solved = [k for k, hc in enumerate(hcs) if not isinstance(hc, NumericsError)]
-        ds = dict(zip(solved, entropy_gap_many(
-            [t_values[k] for k in solved], p, dos, dbox, root, quad, hc=[hcs[k] for k in solved])))
-        solved = [k for k in solved if not isinstance(ds[k], NumericsError)]
-        ds_fd = dict(zip(solved, entropy_gap_fd_many(
-            [t_values[k] for k in solved], p, dos, dbox, root, hc=[hcs[k] for k in solved])))
+        # A failed H_c stays that row's error in both entropy columns.
+        ds = entropy_gap_many(t_values, p, dos, dbox, root, quad, hc=hcs)
+        ds_fd = entropy_gap_fd_many(t_values, p, dos, dbox, root, hc=hcs)
         rows = []
         for k, T in enumerate(t_values):
             points += 1
-            row = (T, hcs[k], ds.get(k), ds_fd.get(k))
+            row = (T, hcs[k], ds[k], ds_fd[k])
             exc = next((v for v in row if isinstance(v, NumericsError)), None)
             if exc is not None:
                 failed.append((T, None, exc))

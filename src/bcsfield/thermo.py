@@ -17,7 +17,11 @@ their windows, superconducting and normal, in one breadth-first quadrature;
 ``psi``, ``grand_potential_S`` and ``grand_potential_N`` are batch-of-one
 cases of the same code.  ``entropy_gap_many`` and ``entropy_gap_fd_many``
 evaluate the entropy gap of a batch of temperatures the same way, and
-``entropy_gap`` and ``entropy_gap_fd`` are their batch-of-one cases.
+``entropy_gap`` and ``entropy_gap_fd`` are their batch-of-one cases.  The
+entropy gap is taken on the critical curve H = H_c(T), where the gap is zero
+(Y = 0) and the two potentials are equal (psi = 0); both functions use these
+two facts instead of solving for them, so an ``hc`` passed to them must be
+H_c(T).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .params import DomainBox, MaterialParams, check_arg
 from .solvers import (
     DomainWarning,
     GapSolution,
-    implicit_partials_many,
+    implicit_partials_at,
     solve_gap_squared_many,
     solve_hc_many,
 )
@@ -337,10 +341,19 @@ def psi(
 
 
 def _hc_column(T: np.ndarray, hc, p, dbox, spec, quad) -> list[float | NumericsError]:
-    """H_c at each temperature: the given ``hc`` broadcast to T, or solved."""
+    """H_c at each temperature: the given ``hc`` broadcast to T, or solved.
+
+    A ``NumericsError`` entry of ``hc`` (as :func:`solve_hc_many` returns
+    it) stays that row's error.
+
+    Raises:
+        ValueError: naming hc, for a non-finite or negative entry.
+    """
     if hc is None:
         return solve_hc_many(T, p, dbox, spec, quad)
-    return np.broadcast_to(np.asarray(hc, dtype=float), T.shape).tolist()
+    column = np.broadcast_to(np.asarray(hc, dtype=object), T.shape).tolist()
+    check_arg("hc", [h for h in column if not isinstance(h, NumericsError)])
+    return [h if isinstance(h, NumericsError) else float(h) for h in column]
 
 
 def entropy_gap_many(
@@ -354,24 +367,30 @@ def entropy_gap_many(
 ) -> list[float | NumericsError]:
     """:func:`entropy_gap` at a batch of temperatures.
 
-    One batched H_c solve (skipped when ``hc`` passes H_c, a value or one
-    per temperature), one ``implicit_partials_many`` at (T, H_c), then the
-    two edge slivers of every row in one quadrature.  Returns one entry per
-    temperature: its dS, or the ``NumericsError`` of its H_c, its gap, its
-    partials or one of its slivers.
+    One batched H_c solve (skipped when ``hc`` passes H_c(T), a value or
+    one per temperature, where an entry may be the ``NumericsError`` of its
+    solve), one ``F_partials_many`` at (T, H_c, 0), then the two edge
+    slivers of every row in one quadrature.  Returns one entry per
+    temperature: its dS, or the ``NumericsError`` of its H_c, its partials
+    or one of its slivers.
 
     Raises:
-        ValueError: naming T for a non-finite or non-positive temperature,
-            or from the DOS when a sliver leaves its support.
+        ValueError: naming T or hc, for a non-finite or non-positive
+            temperature or a non-finite or negative field, or from the DOS
+            when a sliver leaves its support.
     """
     T = check_arg("T", T, positive=True).ravel()
-    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, quad)
-    ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
-    hcs = np.array([out[i] for i in ok])
-    partials = implicit_partials_many(T[ok], hcs, p, dbox, spec, quad)
-    rows = [k for k, r in enumerate(partials) if not isinstance(r, NumericsError)]
-    s = p.a * hcs[rows] + p.b * hcs[rows] * hcs[rows]
-    h = p.mu_B * hcs[rows]
+    hcs = _hc_column(T, hc, p, dbox, spec, quad)
+    out: list = list(hcs)
+    ok = [i for i, h in enumerate(hcs) if not isinstance(h, NumericsError)]
+    # On the critical curve Y = 0, so df/dT needs no gap solve.
+    for i, r in zip(ok, implicit_partials_at(T[ok].tolist(), [hcs[i] for i in ok],
+                                             [0.0] * len(ok), p, quad)):
+        out[i] = r
+    rows = [i for i in ok if not isinstance(out[i], NumericsError)]
+    H = np.array([hcs[i] for i in rows])
+    s = p.a * H + p.b * H * H
+    h = p.mu_B * H
     w = p.hbar_omega_D
     # Sliver 2 j is row j's lower edge I1, sliver 2 j + 1 its upper edge I2.
     lo = np.column_stack([-w - s - h, w - s - h]).ravel()
@@ -382,14 +401,12 @@ def entropy_gap_many(
         return dos_eval(dos, xi + p.mu, p) / np.abs(xi + s_of[k, None])
 
     slivers, errors = integrate_many(edge_weight, lo, hi, quad)
-    for k, r in enumerate(partials):
-        out[ok[k]] = r  # a failed row's error; the others get their dS below
-    for j, k in enumerate(rows):
+    for j, i in enumerate(rows):
         if 2 * j in errors or 2 * j + 1 in errors:
-            out[ok[k]] = errors.get(2 * j, errors.get(2 * j + 1))
+            out[i] = errors.get(2 * j, errors.get(2 * j + 1))
         else:
             brace = float(slivers[2 * j]) - float(slivers[2 * j + 1])
-            out[ok[k]] = -0.25 * partials[k][0] * brace
+            out[i] = -0.25 * out[i][0] * brace
     return out
 
 
@@ -409,11 +426,13 @@ def entropy_gap(
 
     where I1 and I2 are the width-2h slivers at the lower and upper edges of
     the spin-split windows (centers -w - s and +w - s, half-width h = mu_B
-    H_c).  For a constant DOS the two integrals cancel exactly; for an
-    increasing DOS the brace is negative and so is dS, making the transition
-    first order.  At T = tau1 the slivers are empty and dS = 0.  ``hc`` may
-    pass H_c(T), already solved, to skip that root solve.  The batch-of-one
-    case of :func:`entropy_gap_many`.
+    H_c).  df/dT = -F_T/F_Y is taken at (T, H_c, 0): the gap is zero on the
+    critical curve, so no gap is solved.  For a constant DOS the two
+    integrals cancel exactly; for an increasing DOS the brace is negative
+    and so is dS, making the transition first order.  At T = tau1 the
+    slivers are empty and dS = 0.  ``hc`` may pass H_c(T), already solved,
+    to skip that root solve; it must be the critical field, where Y = 0.
+    The batch-of-one case of :func:`entropy_gap_many`.
     """
     return unwrap(entropy_gap_many(T, p, dos, dbox, spec, quad, hc)[0])
 
@@ -433,15 +452,16 @@ def entropy_gap_fd_many(
 ) -> list[float | NumericsError]:
     """:func:`entropy_gap_fd` at a batch of temperatures.
 
-    ``delta_T`` and ``hc`` are a value or one per temperature; without
-    ``hc`` the critical fields are one batched solve.  The three potential
-    gaps of every row are one ``psi_many``.  Returns one entry per
-    temperature: its dS, or the ``NumericsError`` of its H_c or of one of
-    its three potential gaps.
+    ``delta_T`` and ``hc`` are a value or one per temperature, and an
+    ``hc`` entry may be the ``NumericsError`` of its solve; without ``hc``
+    the critical fields are one batched solve.  The two potential gaps of
+    every row, at T - delta_T and T - delta_T/2, are one ``psi_many``.
+    Returns one entry per temperature: its dS, or the ``NumericsError`` of
+    its H_c or of one of its two potential gaps.
 
     Raises:
-        ValueError: naming the argument, for a non-finite or non-positive T
-            or a delta_T outside (0, T).
+        ValueError: naming the argument, for a non-finite or non-positive T,
+            a delta_T outside (0, T), or a non-finite or negative hc.
     """
     T = check_arg("T", T, positive=True).ravel()
     steps = 2e-3 * T if delta_T is None else np.broadcast_to(
@@ -454,19 +474,20 @@ def entropy_gap_fd_many(
     out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, quad)
     ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
     steps_ok = steps[ok].tolist()
-    probes = [x for t, d in zip(T[ok].tolist(), steps_ok) for x in (t, t - d, t - 0.5 * d)]
+    # psi(T, H_c) = 0 on the critical curve: only the two probes below T.
+    probes = [x for t, d in zip(T[ok].tolist(), steps_ok) for x in (t - d, t - 0.5 * d)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        points = psi_many(probes, np.repeat([out[i] for i in ok], 3), p, dos, dbox, spec, quad)
+        points = psi_many(probes, np.repeat([out[i] for i in ok], 2), p, dos, dbox, spec, quad)
     for k, (i, d) in enumerate(zip(ok, steps_ok)):
-        row = points[3 * k:3 * k + 3]
+        row = points[2 * k:2 * k + 2]
         failed = [tp for tp in row if isinstance(tp, NumericsError)]
         if failed:
             out[i] = failed[0]
             continue
-        psi_0, psi_1, psi_2 = (tp.psi for tp in row)
-        fd_full = (psi_1 - psi_0) / d
-        fd_half = (psi_2 - psi_0) / (0.5 * d)
+        psi_1, psi_2 = (tp.psi for tp in row)
+        fd_full = psi_1 / d
+        fd_half = psi_2 / (0.5 * d)
         out[i] = 2.0 * fd_half - fd_full
     return out
 
@@ -485,13 +506,15 @@ def entropy_gap_fd(
 
     Approaches (T, H_c(T)) from inside the superconducting region along
     fixed H = H_c(T): dS = -dPsi/dT estimated from steps delta_T and
-    delta_T/2 with Richardson extrapolation.  Independent cross-check of
-    :func:`entropy_gap`; the two must agree when the closed form is right.
+    delta_T/2 with Richardson extrapolation.  Psi(T, H_c) = 0 on the
+    critical curve, so only the two probes below T are solved.  Independent
+    cross-check of :func:`entropy_gap`; the two must agree when the closed
+    form is right.
 
     When T sits at the box lower bound the probe dips just below T0; that
     is deliberate, so the below-T0 warning is suppressed for the probes.
-    ``hc`` may pass H_c(T), already solved, to skip that root solve; the
-    three potential gaps are solved as one batch.  The batch-of-one case
-    of :func:`entropy_gap_fd_many`.
+    ``hc`` may pass H_c(T), already solved, to skip that root solve; it must
+    be the critical field, where Psi = 0.  The two potential gaps are solved
+    as one batch.  The batch-of-one case of :func:`entropy_gap_fd_many`.
     """
     return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec, quad, delta_T, hc)[0])

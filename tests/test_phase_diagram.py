@@ -264,6 +264,18 @@ def test_entropy_sweep_work_does_not_grow_with_rows(p, dbox, integrand_calls):
     assert ten <= 40 and ten <= 1.2 * three
 
 
+def test_entropy_sweep_of_ten_rows_work(p, dbox, integrand_calls):
+    # One H_c solve, one F_partials at (T, H_c, 0) with the slivers, and
+    # one psi_many of two probes per row (21 calls and 6 798 panels when
+    # the closed form solved the gap at (T, H_c) and the finite difference
+    # probed psi there).
+    spec = SweepSpec(T_grid=(dbox.T0, 0.95 * dbox.tau1, 10), outputs=frozenset({"entropy_curve"}))
+    run_sweep(spec, p, dos_linear(1.0, 0.5), dbox)
+    calls, panels = integrand_calls
+    assert calls <= 20
+    assert panels <= 5800
+
+
 def test_phase_sweep_work(p, dbox, integrand_calls):
     # A 10 x 10 hc + gap + psi sweep: three batched solves, each a few
     # root iterations of mostly one graded quadrature level (106 calls and

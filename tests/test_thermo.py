@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,16 @@ from bcsfield import (
     entropy_gap_many,
     grand_potential_N,
     grand_potential_S,
+    implicit_partials,
     integrate,
     load_dos_table,
     psi,
     solve_hc,
+    solve_hc_many,
 )
-from bcsfield.numerics import QuadSpec
+from bcsfield import solvers, thermo
+from bcsfield.numerics import NumericsError, QuadSpec, integrate_many
+from bcsfield.solvers import DomainWarning
 from bcsfield.thermo import _bracket, _omega_many
 
 
@@ -374,6 +379,94 @@ def test_batched_entropy_rows_equal_scalar_calls(p, dbox, kind, fracs):
 def test_batched_entropy_of_no_rows(p, dbox):
     assert entropy_gap_many([], p, dos_linear(), dbox) == []
     assert entropy_gap_fd_many([], p, dos_linear(), dbox) == []
+
+
+DOS_MODELS = {"linear": dos_linear(1.0, 0.5), "sqrt": dos_sqrt(), "constant": dos_constant()}
+CURVE_FRACS = (0.0, 0.25, 0.5, 0.75, 0.95)
+
+
+def entropy_gap_by_gap_solve(T, hc, p, dos, dbox):
+    """dS with df/dT from a gap solve at (T, H_c) and its two slivers: a reference."""
+    df_dT = implicit_partials(T, hc, p, dbox)[0]
+    s, h, w = p.a * hc + p.b * hc * hc, p.mu_B * hc, p.hbar_omega_D
+    slivers, errors = integrate_many(
+        lambda xi, k: dos_eval(dos, xi + p.mu, p) / np.abs(xi + s),
+        [-w - s - h, w - s - h], [-w - s + h, w - s + h])
+    assert not errors
+    return -0.25 * df_dT * (float(slivers[0]) - float(slivers[1]))
+
+
+def entropy_gap_fd_by_three_probes(T, hc, p, dos, dbox):
+    """Richardson estimate from psi at T, T - d and T - d/2, d = 2e-3 T: a reference."""
+    d = 2e-3 * T
+    quad = QuadSpec(1e-13, 1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        psi_0, psi_1, psi_2 = (psi(t, hc, p, dos, dbox, quad=quad).psi
+                               for t in (T, T - d, T - 0.5 * d))
+    assert psi_0 == 0.0
+    return 2.0 * ((psi_2 - psi_0) / (0.5 * d)) - (psi_1 - psi_0) / d
+
+
+@pytest.mark.parametrize("kind", sorted(DOS_MODELS))
+def test_entropy_gap_on_the_critical_curve_keeps_every_bit(p, dbox, kind):
+    # The closed form takes df/dT at Y = 0 and the finite difference takes
+    # psi(T, H_c) = 0, without solving for either: both give the doubles of
+    # the paths that solve the gap there.
+    dos = DOS_MODELS[kind]
+    T = [dbox.T0 + u * (dbox.tau1 - dbox.T0) for u in CURVE_FRACS]
+    hcs = solve_hc_many(T, p, dbox)
+    ds = entropy_gap_many(T, p, dos, dbox, hc=hcs)
+    ds_fd = entropy_gap_fd_many(T, p, dos, dbox, hc=hcs)
+    for t, hc, value, value_fd in zip(T, hcs, ds, ds_fd):
+        assert value == entropy_gap_by_gap_solve(t, hc, p, dos, dbox)
+        assert value_fd == entropy_gap_fd_by_three_probes(t, hc, p, dos, dbox)
+
+
+def test_entropy_gap_solves_no_root_and_probes_two_states_per_row(p, dbox, monkeypatch):
+    T = [dbox.T0 + u * (dbox.tau1 - dbox.T0) for u in CURVE_FRACS]
+    hcs = solve_hc_many(T, p, dbox)
+    dos = dos_linear(1.0, 0.5)
+    expected = entropy_gap_many(T, p, dos, dbox, hc=hcs)
+
+    def no_root(*args, **kwargs):
+        raise AssertionError("entropy_gap_many solved a root")
+
+    monkeypatch.setattr(solvers, "find_root_decreasing_many", no_root)
+    assert entropy_gap_many(T, p, dos, dbox, hc=hcs) == expected
+    monkeypatch.undo()
+    probed = []
+    psi_many = thermo.psi_many
+
+    def counted_psi_many(T, H, *args):
+        probed.append(len(T))
+        return psi_many(T, H, *args)
+
+    monkeypatch.setattr(thermo, "psi_many", counted_psi_many)
+    entropy_gap_fd_many(T, p, dos, dbox, hc=hcs)
+    assert probed == [2 * len(T)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+def test_entropy_gap_names_a_bad_hc(p, dbox, bad):
+    T = [dbox.T0, 0.9 * dbox.tau1]
+    for many in (entropy_gap_many, entropy_gap_fd_many):
+        with pytest.raises(ValueError, match="^hc must be"):
+            many(T, p, dos_linear(), dbox, hc=[0.01, bad])
+
+
+def test_entropy_gap_keeps_an_hc_error_as_its_row(p, dbox):
+    # solve_hc_many's output may hold an error; it stays that row's result.
+    T = [dbox.T0, 0.9 * dbox.tau1, 0.95 * dbox.tau1]
+    failed = NumericsError("critical field exceeds domain cap")
+    hcs = solve_hc_many(T, p, dbox)
+    hcs[1] = failed
+    dos = dos_linear()
+    for many, one in ((entropy_gap_many, entropy_gap), (entropy_gap_fd_many, entropy_gap_fd)):
+        out = many(T, p, dos, dbox, hc=hcs)
+        assert out[1] is failed
+        assert [out[0], out[2]] == [one(T[0], p, dos, dbox, hc=hcs[0]),
+                                    one(T[2], p, dos, dbox, hc=hcs[2])]
 
 
 def test_entropy_fd_step_validation(p, dbox):
