@@ -207,7 +207,10 @@ def solve_gap_squared(
     """Squared gap Y = f(T, H): the unique root of F(T, H, .) on [0, Y0].
 
     If F(T, H, 0) <= 0 (within f_tol) the point is normal: the solution is
-    Y = 0 with the boundary flag set.  Warns (but proceeds) outside the
+    Y = 0 with the boundary flag set.  The root meets ``|F| <= f_tol``, or
+    its final bracket is at most ``x_tol * Y0`` wide: x_tol is relative to
+    the bracket, which at weak coupling is far narrower than 1 (Y0 is about
+    16 e^(-1/U1) hbar_omega_D^2).  Warns (but proceeds) outside the
     guarantee zone: mu_B H / T > Z_CAP or T < T0.
     """
     return unwrap(_solve_gaps(T, H, p, dbox, spec, quad)[0])
@@ -225,10 +228,16 @@ def _solve_gaps(T, H, p, dbox, spec, quad) -> list[GapSolution | NumericsError]:
         for t, h, z_i in zip(T[warn].tolist(), H[warn].tolist(), z[warn].tolist()):
             warnings.warn(DomainWarning(message, t, h, z_i, dbox.T0), stacklevel=3)
 
+    if spec is None:
+        spec = DEFAULT_ROOT
+    # x_tol is a width relative to the bracket [0, Y0]; the floor keeps it
+    # positive where x_tol * Y0 underflows.
+    spec_y = RootSpec(x_tol=max(spec.x_tol * dbox.Y0, math.ulp(dbox.Y0)), f_tol=spec.f_tol)
+
     def g(Y, idx):
         return _F_many(T[idx], H[idx], Y, p, quad)
 
-    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.Y0), spec)
+    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.Y0), spec_y)
     out: list[GapSolution | NumericsError] = []
     for t, h, r in zip(T.tolist(), H.tolist(), roots):
         if isinstance(r, RootBelowBracket):

@@ -175,6 +175,20 @@ def test_gap_takes_few_iterations(p, tau1, dbox):
     assert solve_gap_squared(0.9 * tau1, 0.0, p, dbox).iterations <= 6
 
 
+@pytest.mark.parametrize("U1", [0.03, 0.035, 0.05])
+def test_gap_meets_f_tol_at_weak_coupling(U1):
+    # Y0 ~ 16 e^(-1/U1) is near 1e-12 here: a width stop of 1e-12 in Y,
+    # not relative to Y0, ended these solves with residuals up to -0.87.
+    p = MaterialParams(U1=U1)
+    tau1 = solve_tau1(p)
+    box = domain_from(p, 0.8 * tau1, tau1)
+    for T in (0.8 * tau1, 0.9 * tau1, 0.99 * tau1):
+        gap = solve_gap_squared(T, 0.0, p, box)
+        assert not gap.boundary and 0.0 < gap.Y < box.Y0
+        assert abs(gap.residual) <= RootSpec().f_tol
+        assert gap.residual == F_eval(StatePoint(T, 0.0, gap.Y), p)
+
+
 def test_gap_warns_outside_guarantee_zone(p, dbox):
     T = dbox.T0
     H = 1.3 * T / p.mu_B  # mu_B H / T = 1.3 > 1.24
