@@ -189,6 +189,19 @@ def test_gap_meets_f_tol_at_weak_coupling(U1):
         assert gap.residual == F_eval(StatePoint(T, 0.0, gap.Y), p)
 
 
+def test_gap_at_a_subnormal_Y0_stops_at_its_resolution():
+    # At U1 = 1.38e-3, Y0 ~ 1e-314 is subnormal and x_tol * Y0 underflows to
+    # 0, so the width stop is one ulp of Y0.  F is about const - ln(Y) / 2
+    # there, so one ulp of Y moves F by about ulp / (2 Y).
+    p = MaterialParams(U1=1.38e-3)
+    tau1 = solve_tau1(p)
+    box = domain_from(p, 0.8 * tau1, tau1)
+    for T in (0.8 * tau1, 0.9 * tau1, 0.99 * tau1):
+        gap = solve_gap_squared(T, 0.0, p, box)
+        assert not gap.boundary and 0.0 < gap.Y < box.Y0
+        assert abs(gap.residual) <= max(RootSpec().f_tol, math.ulp(box.Y0) / gap.Y)
+
+
 def test_gap_warns_outside_guarantee_zone(p, dbox):
     T = dbox.T0
     H = 1.3 * T / p.mu_B  # mu_B H / T = 1.3 > 1.24
