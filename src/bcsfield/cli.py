@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import F_eval_many, F_partials_many, fermi, thermal_weight
-from .numerics import NumericsError, QuadSpec, RootSpec, first, unwrap
+from .numerics import DEFAULT_QUAD, DEFAULT_ROOT, NumericsError, QuadSpec, RootSpec, first, unwrap
 from .params import Z_CAP, DomainBox, MaterialParams, domain_from, load_params
 from .phase_diagram import OUTPUT_KINDS, SweepError, SweepResult, SweepSpec, run_sweep, write_csv
 from .solvers import (
@@ -82,10 +82,10 @@ def _build_parser() -> _Parser:
         help="override a parameter (repeatable; wins over --params)",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object instead of key = value lines")
-    parser.add_argument("--abs-tol", type=float, default=1e-10, help="quadrature absolute tolerance")
-    parser.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
-    parser.add_argument("--x-tol", type=float, default=1e-12, help="root bracket tolerance")
-    parser.add_argument("--f-tol", type=float, default=1e-10, help="root residual tolerance")
+    parser.add_argument("--abs-tol", type=float, default=DEFAULT_QUAD.abs_tol, help="quadrature absolute tolerance")
+    parser.add_argument("--rel-tol", type=float, default=DEFAULT_QUAD.rel_tol, help="quadrature relative tolerance")
+    parser.add_argument("--x-tol", type=float, default=DEFAULT_ROOT.x_tol, help="root bracket width, relative to the starting bracket")
+    parser.add_argument("--f-tol", type=float, default=DEFAULT_ROOT.f_tol, help="root residual tolerance")
     parser.add_argument("--T0", default="0.8tau1", help="box lower temperature (number or fraction like 0.8tau1)")
     parser.add_argument("-o", "--output", default="bcsfield", help="output file prefix for CSV-writing commands")
 
@@ -327,7 +327,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     try:
         hcs = np.array([unwrap(hc) for hc in hcs])
         add("hc-curve", "H_c nonincreasing, H_c(tau1) = 0", True,
-            np.all(hcs[1:] <= hcs[:-1] + root.x_tol) and hcs[-1] == 0.0,
+            np.all(hcs[1:] <= hcs[:-1] + root.x_tol * dbox.H_max) and hcs[-1] == 0.0,
             f"H_c(T0) = {hcs[0]:.6g}")
         unwrap(hc_mid)  # raises the error of H_c(mid_T), if it failed
         gap_at_hc = unwrap(at_hc[0]).gap

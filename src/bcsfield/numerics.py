@@ -142,8 +142,11 @@ class QuadSpec:
 class RootSpec:
     """Tolerances for bracketed root finding, both finite and > 0.
 
-    ``x_tol`` is an absolute width; callers working far from unit scale
-    should set it to 1e-12 times their natural scale.
+    ``x_tol`` is relative, so a solved value does not depend on the unit
+    of its variable: a solve on [lo, hi] may stop once its bracket is
+    ``max(x_tol * (hi - lo), spacing(hi - lo))`` wide (the Newton steps of
+    ``solve_tau1``, which has no bracket, once a step moves T by at most
+    ``x_tol * T``).  ``f_tol`` bounds the residual at the root.
     """
 
     x_tol: float = 1e-12
@@ -563,13 +566,15 @@ def find_root_decreasing_many(
     false-position step, then Chandrupatla's steps.  Each of those is an
     inverse quadratic interpolation through the bracket ends and the point
     last replaced when it is monotone on the bracket, else a bisection; a
-    bracket that has not halved over the last two steps is bisected.  Every step lands at least
-    x_tol / 2 inside the bracket, and nothing is evaluated outside [lo, hi].
+    bracket that has not halved over the last two steps is bisected.  Each
+    function's stop width is ``max(x_tol * (hi - lo), spacing(hi - lo))``,
+    relative to its own starting bracket; every step lands at least half of
+    it inside the bracket, and nothing is evaluated outside [lo, hi].
 
     Returns:
         One entry per function: a ``RootResult`` with ``|residual| <=
-        f_tol`` or a final bracket width ``<= x_tol``, or the error that
-        ended it: ``RootBelowBracket`` if ``g(lo) <= f_tol``,
+        f_tol`` or a final bracket no wider than its stop width, or the
+        error that ended it: ``RootBelowBracket`` if ``g(lo) <= f_tol``,
         ``BracketError`` if ``g(hi) > f_tol``, ``NumericsError`` if MAX_ITER
         is exhausted or g is NaN at an iterate (naming it), or an error
         returned by ``g``.  The outcome at lo comes first: g(lo) <= f_tol
@@ -624,20 +629,23 @@ def find_root_decreasing_many(
         out[i] = RootResult(float(hi[i]), float(g_hi[i]), 0)
     live &= ~(g_hi > 0.0)
     idx, x1, f1, x2, f2 = idx[live], lo[live], g_lo[live], hi[live], g_hi[live]
+    # The stop width, relative to each bracket; the floor keeps it positive
+    # where x_tol * (hi - lo) underflows.
+    width = x2 - x1
+    tol = np.maximum(spec.x_tol * width, np.spacing(width))
     # Chandrupatla's state: x1 is the newest point, x2 the bracket end of the
     # opposite sign and x3 the point x1 replaced.  The first step is false
     # position.
     with np.errstate(all="ignore"):
         t = f1 / (f1 - f2)
-    width = x2 - x1
     # The widths one and two steps back.
     past1 = past2 = np.full(idx.size, np.inf)
     for it in range(1, MAX_ITER + 1):
         if not idx.size:
             break
-        # Every step lands at least x_tol / 2 inside the bracket, so a point
+        # Every step lands at least tol / 2 inside the bracket, so a point
         # that converges from one side closes the bracket around the root.
-        tlim = 0.5 * spec.x_tol / width
+        tlim = 0.5 * tol / width
         x = x1 + np.minimum(np.maximum(t, tlim), 1.0 - tlim) * (x2 - x1)
         inside = (np.minimum(x1, x2) < x) & (x < np.maximum(x1, x2))
         x = np.where(inside, x, 0.5 * (x1 + x2))
@@ -660,15 +668,15 @@ def find_root_decreasing_many(
                  + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
         t = np.where(iqi & (width <= 0.5 * past2), t, 0.5)
         # The state arrays shrink only on a step where some function ends.
-        stop = (np.abs(fx) <= spec.f_tol) | (width <= spec.x_tol)
+        stop = (np.abs(fx) <= spec.f_tol) | (width <= tol)
         if errors or stop.any():
             for i in np.flatnonzero(stop):
                 out[idx[i]] = RootResult(float(x[i]), float(fx[i]), it)
             for j, exc in errors.items():
                 out[idx[j]] = exc
                 stop[j] = True
-            idx, x1, f1, x2, f2, t, width, past1 = (
-                v[~stop] for v in (idx, x1, f1, x2, f2, t, width, past1))
+            idx, x1, f1, x2, f2, t, width, past1, tol = (
+                v[~stop] for v in (idx, x1, f1, x2, f2, t, width, past1, tol))
     for i in range(idx.size):
         out[idx[i]] = NumericsError(
             f"root iteration limit ({MAX_ITER}) exhausted; "
@@ -696,7 +704,7 @@ def find_root_decreasing(
 
     Returns:
         RootResult with ``|residual| <= f_tol`` or a final bracket width
-        ``<= x_tol``.
+        ``<= max(x_tol * (hi - lo), spacing(hi - lo))``.
 
     Raises:
         RootBelowBracket: if ``g(lo) <= f_tol`` -- the root sits at or below

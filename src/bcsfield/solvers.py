@@ -132,7 +132,7 @@ def solve_tau1(
 
         T <- T exp(F / (2 tanh u)),   u = hbar_omega_D / (2 T),
 
-    run until ``|F| <= f_tol`` or a step moves T by at most ``x_tol``.  In
+    run until ``|F| <= f_tol`` or a step moves T by at most ``x_tol * T``.  In
     ln T, F has slope -2 tanh u < 0 and curvature 2 u sech^2 u > 0: it is
     decreasing and convex, so every tangent lies below it.  From F >= 0 the
     iterates rise monotonically to the root and never overshoot; from F < 0
@@ -168,7 +168,7 @@ def solve_tau1(
             raise NumericsError(
                 f"tau1 solve: F(T, 0, 0) = {F!r} at T = {T!r} gives no finite Newton step"
             )
-        if abs(nxt - T) <= spec.x_tol:
+        if abs(nxt - T) <= spec.x_tol * T:
             return nxt
         T = nxt
     raise NumericsError(f"tau1 solve: Newton steps did not converge within {_NEWTON_LIMIT}")
@@ -208,10 +208,11 @@ def solve_gap_squared(
 
     If F(T, H, 0) <= 0 (within f_tol) the point is normal: the solution is
     Y = 0 with the boundary flag set.  The root meets ``|F| <= f_tol``, or
-    its final bracket is at most ``x_tol * Y0`` wide: x_tol is relative to
-    the bracket, which at weak coupling is far narrower than 1 (Y0 is about
-    16 e^(-1/U1) hbar_omega_D^2).  Warns (but proceeds) outside the
-    guarantee zone: mu_B H / T > Z_CAP or T < T0.
+    its final bracket is at most ``x_tol * Y0`` wide (one spacing of Y0
+    where that underflows): x_tol is relative to the bracket, which at weak
+    coupling is far narrower than 1 (Y0 is about 16 e^(-1/U1)
+    hbar_omega_D^2).  Warns (but proceeds) outside the guarantee zone:
+    mu_B H / T > Z_CAP or T < T0.
     """
     return unwrap(_solve_gaps(T, H, p, dbox, spec, quad)[0])
 
@@ -228,16 +229,10 @@ def _solve_gaps(T, H, p, dbox, spec, quad) -> list[GapSolution | NumericsError]:
         for t, h, z_i in zip(T[warn].tolist(), H[warn].tolist(), z[warn].tolist()):
             warnings.warn(DomainWarning(message, t, h, z_i, dbox.T0), stacklevel=3)
 
-    if spec is None:
-        spec = DEFAULT_ROOT
-    # x_tol is a width relative to the bracket [0, Y0]; the floor keeps it
-    # positive where x_tol * Y0 underflows.
-    spec_y = RootSpec(x_tol=max(spec.x_tol * dbox.Y0, math.ulp(dbox.Y0)), f_tol=spec.f_tol)
-
     def g(Y, idx):
         return _F_many(T[idx], H[idx], Y, p, quad)
 
-    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.Y0), spec_y)
+    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.Y0), spec)
     out: list[GapSolution | NumericsError] = []
     for t, h, r in zip(T.tolist(), H.tolist(), roots):
         if isinstance(r, RootBelowBracket):
@@ -269,15 +264,11 @@ def solve_hc_many(
         ValueError: naming T, for a non-finite or non-positive temperature.
     """
     T = check_arg("T", T, positive=True).ravel()
-    if spec is None:
-        spec = DEFAULT_ROOT
-    # x_tol is a width in H; solve_hc says what it bounds in v.
-    spec_v = RootSpec(x_tol=spec.x_tol / dbox.H_max, f_tol=spec.f_tol)
 
     def g(v, idx):
         return _F_many(T[idx], dbox.H_max * np.sqrt(v), 0.0, p, quad)
 
-    roots = find_root_decreasing_many(g, np.zeros(T.size), np.ones(T.size), spec_v)
+    roots = find_root_decreasing_many(g, np.zeros(T.size), np.ones(T.size), spec)
     out: list[float | NumericsError] = []
     for t, r in zip(T.tolist(), roots):
         if isinstance(r, RootBelowBracket):
@@ -309,9 +300,8 @@ def solve_hc(
     tau1 as K sqrt(tau1 - T).  The root is therefore found in
     v = (H / H_max)^2 on [0, 1], with g(v) = F(T, H_max sqrt(v), 0), whose
     upper end is F at exactly H_max; H_c = H_max sqrt(v_c).  It meets
-    ``|F| <= f_tol``, or its final bracket in v is at most ``x_tol / H_max``
-    wide: in H that is x_tol at H_c = H_max / 2, and
-    ``x_tol * H_max / (2 H_c)`` in general.
+    ``|F| <= f_tol``, or its final bracket in v is at most ``x_tol`` wide:
+    in H that is ``x_tol * H_max^2 / (2 H_c)``.
 
     Returns 0 at (and numerically beyond) the transition temperature, where
     F(T, 0, 0) <= 0 already.

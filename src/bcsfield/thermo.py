@@ -437,6 +437,9 @@ def entropy_gap(
     return unwrap(entropy_gap_many(T, p, dos, dbox, spec, quad, hc)[0])
 
 
+# The finite difference divides potential gaps, small differences of two
+# integrals, by delta_T (2e-3 T by default), so its quadratures (H_c
+# included, where it is solved here) always run at this tolerance.
 _FD_QUAD = QuadSpec(1e-13, 1e-13)
 
 
@@ -446,7 +449,6 @@ def entropy_gap_fd_many(
     dos: DosModel,
     dbox: DomainBox,
     spec: RootSpec | None = None,
-    quad: QuadSpec | None = None,
     delta_T=None,
     hc=None,
 ) -> list[float | NumericsError]:
@@ -469,16 +471,15 @@ def entropy_gap_fd_many(
     bad = ~((0 < steps) & (steps < T))
     if bad.any():
         raise ValueError(f"delta_T must be in (0, T), got {float(steps[bad][0])!r}")
-    if quad is None:
-        quad = _FD_QUAD
-    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, quad)
+    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, _FD_QUAD)
     ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
     steps_ok = steps[ok].tolist()
     # psi(T, H_c) = 0 on the critical curve: only the two probes below T.
     probes = [x for t, d in zip(T[ok].tolist(), steps_ok) for x in (t - d, t - 0.5 * d)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        points = psi_many(probes, np.repeat([out[i] for i in ok], 2), p, dos, dbox, spec, quad)
+        points = psi_many(probes, np.repeat([out[i] for i in ok], 2), p, dos, dbox, spec,
+                          _FD_QUAD)
     for k, (i, d) in enumerate(zip(ok, steps_ok)):
         row = points[2 * k:2 * k + 2]
         failed = [tp for tp in row if isinstance(tp, NumericsError)]
@@ -498,7 +499,6 @@ def entropy_gap_fd(
     dos: DosModel,
     dbox: DomainBox,
     spec: RootSpec | None = None,
-    quad: QuadSpec | None = None,
     delta_T: float | None = None,
     hc: float | None = None,
 ) -> float:
@@ -507,9 +507,10 @@ def entropy_gap_fd(
     Approaches (T, H_c(T)) from inside the superconducting region along
     fixed H = H_c(T): dS = -dPsi/dT estimated from steps delta_T and
     delta_T/2 with Richardson extrapolation.  Psi(T, H_c) = 0 on the
-    critical curve, so only the two probes below T are solved.  Independent
-    cross-check of :func:`entropy_gap`; the two must agree when the closed
-    form is right.
+    critical curve, so only the two probes below T are solved.  Every
+    quadrature of the finite difference runs at absolute and relative
+    tolerance 1e-13.  Independent cross-check of :func:`entropy_gap`; the
+    two must agree when the closed form is right.
 
     When T sits at the box lower bound the probe dips just below T0; that
     is deliberate, so the below-T0 warning is suppressed for the probes.
@@ -517,4 +518,4 @@ def entropy_gap_fd(
     be the critical field, where Psi = 0.  The two potential gaps are solved
     as one batch.  The batch-of-one case of :func:`entropy_gap_fd_many`.
     """
-    return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec, quad, delta_T, hc)[0])
+    return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec, delta_T, hc)[0])

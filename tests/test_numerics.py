@@ -224,7 +224,8 @@ def _cubic(x):
 ])
 def test_hard_monotone_roots_within_an_evaluation_budget(g, lo, hi, budget):
     seen = []
-    spec = RootSpec(x_tol=1e-14, f_tol=1e-300)
+    # x_tol is relative to the bracket: a stop width of 1e-14 in x.
+    spec = RootSpec(x_tol=1e-14 / (hi - lo), f_tol=1e-300)
     result = find_root_decreasing(lambda x: seen.append(x) or g(x), lo, hi, spec)
     assert result.root == pytest.approx(0.3, abs=1e-14)
     assert len(seen) <= budget
@@ -623,6 +624,37 @@ def test_lockstep_roots_take_the_scalar_iterates(roots, scale):
         alone = find_root_decreasing(
             lambda x: -scale * ((x - root) ** 3 + 0.2 * (x - root)), -1.0, 1.0, spec)
         assert got == alone
+
+
+def test_lockstep_stop_width_is_relative_to_each_bracket():
+    # Step functions never meet f_tol, so each solve bisects until its
+    # bracket is at most x_tol times its starting width.  The third bracket
+    # is 4 subnormal spacings wide: x_tol times that underflows to 0, and
+    # the stop width is one spacing.
+    tiny = 5e-324
+    lo = np.array([0.0, 0.0, 0.0])
+    hi = np.array([1.0, 1024.0, 4 * tiny])
+    r = np.array([0.3, 0.3 * 1024.0, 3 * tiny])
+    seen = [[] for _ in r]
+
+    def g_many(x, idx):
+        values = np.where(x < r[idx], 1.0, -1.0)
+        for i, v, gv in zip(idx.tolist(), x.tolist(), values.tolist()):
+            seen[i].append((v, gv))
+        return values, {}
+
+    spec = RootSpec(x_tol=1e-6, f_tol=1e-300)
+    out = find_root_decreasing_many(g_many, lo, hi, spec)
+    for i, result in enumerate(out):
+        tol = max(spec.x_tol * (hi[i] - lo[i]), np.spacing(hi[i] - lo[i]))
+        a = max(v for v, gv in seen[i] if gv > 0.0)
+        b = min(v for v, gv in seen[i] if gv < 0.0)
+        assert 0.5 * tol < b - a <= tol
+        assert result.root in (a, b)
+    # The wider bracket takes the same steps, scaled.
+    assert out[1].root == 1024.0 * out[0].root
+    assert out[1].iterations == out[0].iterations
+    assert out[2].root == 3 * tiny and out[2].iterations == 2
 
 
 def test_lockstep_failures_stay_per_function():

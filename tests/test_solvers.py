@@ -26,7 +26,7 @@ from bcsfield import (
 )
 from bcsfield import kernel, numerics, solvers
 from bcsfield.kernel import F_eval_many, fermi_delta
-from bcsfield.numerics import BracketError, NumericsError, RootSpec, integrate
+from bcsfield.numerics import BracketError, NumericsError, RootSpec, first, integrate, unwrap
 from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_gap_squared_many, solve_hc_many
 from bcsfield.thermo import psi_many
 
@@ -58,12 +58,12 @@ def test_tau1_at_weak_coupling_matches_the_closed_form(U1):
     # tau1 near 1e-9 hbar_omega_D: the bracket seeds E << hbar_omega_D states.
     q = MaterialParams(U1=U1)
     ref = 2.0 * math.exp(0.5772156649015329) / math.pi * q.hbar_omega_D * math.exp(-0.5 / U1)
-    assert solve_tau1(q, RootSpec(x_tol=1e-12 * ref)) == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert solve_tau1(q) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_tau1_at_weak_coupling_is_the_seed():
-    # With the default RootSpec (x_tol = 1e-12, near tau1 itself) the seed
-    # (2 e^gamma / pi) hbar_omega_D e^(-1/(2 U1)) is the root to within f_tol.
+    # With the default RootSpec the seed (2 e^gamma / pi) hbar_omega_D
+    # e^(-1/(2 U1)) is the root to within f_tol.
     q = MaterialParams(U1=0.02)
     ref = 2.0 * math.exp(0.5772156649015329) / math.pi * q.hbar_omega_D * math.exp(-0.5 / q.U1)
     assert solve_tau1(q) == pytest.approx(ref, rel=1e-9, abs=0.0)
@@ -312,6 +312,49 @@ def test_hc_square_root_approach_to_transition(p, tau1, dbox):
     assert quotients[2] > quotients[1] > quotients[0]  # diverging secants
 
 
+@pytest.mark.parametrize("U1", [0.03, 0.05])
+def test_hc_meets_f_tol_at_weak_coupling(U1):
+    # A width stop of x_tol / H_max in v, fixed in H rather than relative
+    # to the bracket, ended 39 and 13 of these solves with |F| up to 4.1e-6.
+    p = MaterialParams(U1=U1)
+    tau1 = solve_tau1(p)
+    box = domain_from(p, 0.8 * tau1, tau1)
+    T = np.linspace(0.8 * tau1, 0.999 * tau1, 40)
+    hcs = solve_hc_many(T, p, box)
+    assert all(0.0 < hc < box.H_max for hc in hcs)
+    assert np.all(np.abs(first(*F_eval_many(T, hcs, 0.0, p))) <= RootSpec().f_tol)
+
+
+# ----------------------------------------------------------------- units
+
+
+def _scaled_solution(U1, lam):
+    # Energies scale by lam, so do T and H (a and mu_B are energies per unit
+    # field, b per unit field squared), and Y scales by lam^2.
+    p = MaterialParams(hbar_omega_D=lam, mu=10.0 * lam, U1=U1, a=0.5, b=0.1 / lam, mu_B=1.0)
+    tau1 = solve_tau1(p)
+    box = domain_from(p, 0.8 * tau1, tau1)
+    T = np.linspace(box.T0, tau1, 9)
+    hcs = np.array([unwrap(h) for h in solve_hc_many(T, p, box)])
+    Y = [unwrap(g).Y for g in solve_gap_squared_many(T, 0.5 * hcs, p, box)]
+    return tau1, T, hcs, np.array(Y)
+
+
+@pytest.mark.parametrize("U1", [0.05, 0.15, 0.25])
+def test_solutions_are_unit_covariant(U1):
+    # Every width stop is relative to its bracket (tau1: to T), and a scale
+    # by a power of two is exact, so the solutions scale exactly.
+    tau1, T, hcs, Y = _scaled_solution(U1, 1.0)
+    assert hcs[0] > 0.0 and Y[0] > 0.0
+    for k in (-40, -10, 10, 40):
+        lam = 2.0**k
+        got = _scaled_solution(U1, lam)
+        assert got[0] == lam * tau1
+        assert np.array_equal(got[1], lam * T)
+        assert np.array_equal(got[2], lam * hcs)
+        assert np.array_equal(got[3], lam * lam * Y)
+
+
 # ------------------------------------------------------- implicit partials
 
 
@@ -509,7 +552,7 @@ def test_batched_solvers_match_scalar_calls(p, dbox, fracs):
 
 def _is_root(g, x, lo, hi, spec=RootSpec()):
     """x is a root of the decreasing g: |g(x)| <= f_tol, or g changes sign
-    within x_tol of x (the final bracket of width <= x_tol holds x)."""
+    within x_tol of x."""
     if abs(g(x)) <= spec.f_tol:
         return True
     return g(max(x - spec.x_tol, lo)) > 0.0 >= g(min(x + spec.x_tol, hi))
