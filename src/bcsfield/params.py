@@ -146,8 +146,8 @@ class DomainBox:
 
     On this box the kernel F is strictly decreasing in H, T and squared gap,
     which is what makes every root in this package unique.  ``H_max`` is
-    exactly ``Z_CAP * T0 / mu_B`` and ``Y0`` is a verified upper bracket for
-    the squared gap (F(T0, 0, Y0) < 0) when the box comes from
+    exactly ``Z_CAP * T0 / mu_B`` and ``Y0`` is an upper bracket for the
+    squared gap (F(T0, 0, Y0) < 0) when the box comes from
     :func:`domain_from`.  Construction raises a ``ValueError`` naming the
     field unless every field is finite and > 0 and T0 < tau1.
     """
@@ -165,22 +165,19 @@ class DomainBox:
 
 
 def domain_from(params: MaterialParams, T0: float, tau1: float) -> DomainBox:
-    """Build the working box for given temperature bounds.
+    """Build the working box for given temperature bounds, in closed form.
 
     ``Y0`` is four times the squared zero-temperature gap,
-    ``4 * (hbar_omega_D / sinh(1/(2 U1)))**2``.  It is always a bracket: at
-    H = 0 the weight tanh(E/2T) falls as T rises, so F(T0, 0, Y) is below
-    its T -> 0 limit 2 asinh(hbar_omega_D / sqrt(Y)) - 1/U1, which is
-    negative at Y = 4 Delta_0^2.  The corner (T0, 0), where F is largest
-    over the box, is still checked to satisfy F(T0, 0, Y0) < 0.
+    ``4 * (hbar_omega_D / sinh(1/(2 U1)))**2``.  It is always a bracket,
+    so no quadrature checks it: at H = 0 the weight tanh(E/2T) falls as T
+    rises, so F(T0, 0, Y) is below its T -> 0 limit
+    2 asinh(hbar_omega_D / sqrt(Y)) - 1/U1, which is negative at
+    Y = 4 Delta_0^2 (U1 times it is at most -1.3e-3 wherever Y0 is a
+    positive double, up to U1 = 1e3 at least).  A box whose Y0 is not a bracket, built by hand,
+    surfaces as a ``BracketError`` of the gap solve.
 
     Raises:
-        ValueError: unless 0 < T0 < tau1, or if the corner check fails.
+        ValueError: unless 0 < T0 < tau1.
     """
-    from .kernel import F_eval, StatePoint  # deferred: kernel depends on this module
-
     Y0 = 4.0 * (params.hbar_omega_D / math.sinh(0.5 / params.U1)) ** 2
-    box = DomainBox(T0=T0, tau1=tau1, H_max=Z_CAP * T0 / params.mu_B, Y0=Y0)
-    if not F_eval(StatePoint(T0, 0.0, Y0), params) < 0.0:
-        raise ValueError(f"F(T0, 0, Y0) < 0 fails at T0={T0!r}, Y0={Y0!r}")
-    return box
+    return DomainBox(T0=T0, tau1=tau1, H_max=Z_CAP * T0 / params.mu_B, Y0=Y0)

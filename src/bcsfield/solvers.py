@@ -241,8 +241,8 @@ def _solve_gaps(T, H, p, dbox, spec, quad) -> list[GapSolution | NumericsError]:
         elif isinstance(r, RootResult):
             r = GapSolution(T=t, H=h, Y=r.root, delta=math.sqrt(r.root), residual=r.residual,
                             iterations=r.iterations, boundary=False)
-        # BracketError (F(T,H,Y0) > 0) stays an error: the box corner check
-        # is supposed to make that impossible, so it signals a corrupted box.
+        # BracketError (F(T,H,Y0) > 0) stays an error: Y0 of a box from
+        # domain_from is a bracket in closed form, so it signals a corrupted box.
         out.append(r)
     return out
 

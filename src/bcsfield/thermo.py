@@ -12,10 +12,13 @@ physical shifts.  That window mismatch is exactly what makes the entropy
 gap nonzero for a non-constant density of states, and with it the phase
 transition first order.
 
-``psi_many`` solves the gaps of a batch of states and integrates all of
-their windows, superconducting and normal, in one breadth-first quadrature;
-``psi``, ``grand_potential_S`` and ``grand_potential_N`` are batch-of-one
-cases of the same code.  ``entropy_gap_many`` and ``entropy_gap_fd_many``
+``psi_many`` solves the gaps of a batch of states and integrates psi =
+omega_S - omega_N and omega_N of all of them in one breadth-first
+quadrature of two components on shared panels; psi is integrated node by
+node as the difference of the two brackets, in a form without
+cancellation, and omega_S is omega_N + psi.  ``psi``,
+``grand_potential_S`` and ``grand_potential_N`` are batch-of-one cases of
+the same code.  ``entropy_gap_many`` and ``entropy_gap_fd_many``
 evaluate the entropy gap of a batch of temperatures the same way, and
 ``entropy_gap`` and ``entropy_gap_fd`` are their batch-of-one cases.  The
 entropy gap is taken on the critical curve H = H_c(T), where the gap is zero
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import zeeman_edges
+from .kernel import fermi, log1p_exp_neg, zeeman_edges
 # ``integrate`` stays importable here: bench/spans.py patches thermo.integrate
 # by name.
 from .numerics import (  # noqa: F401
@@ -178,51 +181,74 @@ class ThermoPoint:
     gap: GapSolution | None = field(repr=False, compare=False, default=None)
 
 
-def _bracket(xi, T, Y, s, h, spin):
-    """Grand-potential bracket of one spin (+1 up, -1 down) at squared gap Y.
+# Every E is raised to the smallest normal double: that changes no node at
+# Y > 0, where E >= sqrt(Y), and keeps 0/0 out of the node eta = 0 at Y = 0.
+_TINY = np.finfo(float).tiny
 
-    Up:   eta - eta^2/E - (Y/E) f(beta(E + h)) - 2T ln(1 + e^(-beta(E + h)));
-    down: eta - (eta^2 + 2Y)/E + (Y/E) f(-beta(E - h)) - 2T ln(1 + e^(-beta(E - h))).
-    The spin sign folds the two into one expression that rounds exactly as
-    either form, and the Fermi function and the log term share one
-    e^(-|x|).  Every argument after ``xi`` may be an array that broadcasts
-    against it.  Y is 0 on every node, where both reduce to eta - |eta|
-    plus the log term (the normal form), or > 0 on every node.
+
+def _brackets(eta, Y, inv_T, two_T, spin_h, down):
+    """Grand-potential brackets of one spin at the nodes ``eta = xi + s``.
+
+    Returns ``(bracket_S - bracket_N, bracket_N)`` for the spin of
+    ``spin_h = spin h`` and ``down = (1 - spin) / 2`` (spin +1 up, -1
+    down), with ``inv_T = 1/T`` and ``two_T = 2T``; each argument after
+    ``eta`` may be an array that broadcasts against it.  With
+    d = E - |eta| = Y / (E + |eta|), u = (|eta| + spin h) / T and
+    x = u + d / T:
+
+        bracket_N = eta - |eta| - 2T ln(1 + e^(-u)),
+        bracket_S - bracket_N = |eta| d / E - (Y/E) ((1 - spin)/2 + f(x))
+                                - 2T log1p(f(u) expm1(-d/T)),
+
+    the last term being ln(1 + e^(-x)) - ln(1 + e^(-u)) without its
+    cancellation.  f(u), f(x) and both logs share t = e^(-|u|) and
+    1 + f(u) expm1(-d/T), so a node costs three exponentials and two
+    logs.  Where that sum is below 1/2 (spin down with |eta| < h and
+    d > T ln 2, which no state of the working box reaches at its solved
+    gap) it has lost its digits, and those nodes take the equal form -|eta| d/E + (Y/E) f(-x)
+    - 2T (ln(1 + e^x) - ln(1 + e^u)).  At Y = 0 the difference is +0.0 on
+    every node.
     """
-    eta = np.asarray(xi, dtype=float) + s
-    paired = np.any(Y)
-    E = np.sqrt(eta * eta + Y) if paired else np.abs(eta)
-    x = (1.0 / T) * (E + spin * h)
-    t = np.exp(-np.abs(x))
-    log_term = np.maximum(-x, 0.0) + np.log1p(t)
-    if paired:
-        # fermi(spin x), from the same t.
-        f = np.where(spin * x >= 0, t / (1.0 + t), 1.0 / (1.0 + t))
-        core = eta - (eta * eta + (1.0 - spin) * Y) / E - spin * (Y / E) * f
-    else:
-        core = eta - E
-    return core - 2.0 * T * log_term
+    a = np.abs(eta)
+    E = np.maximum(np.sqrt(eta * eta + Y), _TINY)
+    d = Y / (E + a)
+    u = inv_T * (a + spin_h)
+    t = np.exp(-np.abs(u))
+    # f(u) = t / (1 + t) for u >= 0 and 1 / (1 + t) below; np.maximum
+    # takes the numerator from the comparison, far faster than np.where.
+    f_u = np.maximum(t, u < 0.0) / (1.0 + t)
+    z = -inv_T * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = f_u * np.expm1(z)
+        f_x = f_u * np.exp(z) / (1.0 + g)
+        gap = (a * d - Y * (down + f_x)) / E - two_T * np.log1p(g)
+    normal = (eta - a) - two_T * (np.log1p(t) - np.minimum(u, 0.0))
+    low = g < -0.5
+    if low.any():
+        a, d, E, t, x, Y, two_T = (np.broadcast_to(v, gap.shape)[low]
+                                   for v in (a, d, E, t, u - z, Y, two_T))
+        gap[low] = -a * d / E + (Y / E) * fermi(-x) - two_T * (log1p_exp_neg(-x) - np.log1p(t))
+    return gap, normal
 
 
 def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
                 quad: QuadSpec | None) -> tuple[np.ndarray, dict[int, QuadratureError]]:
-    """Grand potentials at a batch of states: ``(values, errors)``.
+    """psi and omega_N at a batch of states: ``(values, errors)``.
 
+    ``values`` is (m, 2): column 0 is psi = omega_S - omega_N at squared
+    gap Y, integrated node by node as bracket_S - bracket_N (see
+    :func:`_brackets`), and column 1 is omega_N; both come from one
+    two-component quadrature on shared panels, and omega_S is their sum.
     Each spin window [-w - s - spin h, w - s - spin h] is split at the
-    bracket's kink (Y = 0) or sharp peak (Y > 0) at xi = -s, which keeps
-    every panel analytic; a split point outside the window leaves one
-    empty piece.  All 4m pieces go to one quadrature, each graded toward
-    xi = -s (width min(sqrt(Y), pi T), or pi T at Y = 0) and toward the
-    Zeeman edges (width pi T).  The pieces of the states at Y = 0 come
-    first, so that every integrand call evaluates the normal and the
-    paired bracket each on its own block of nodes.
+    brackets' kink or sharp peak at xi = -s, which keeps every panel
+    analytic; a split point outside the window leaves one empty piece.
+    All 4m pieces go to one quadrature, each graded toward xi = -s (width
+    min(sqrt(Y), pi T), or pi T at Y = 0) and toward the Zeeman edges of
+    the squared gap Y (width pi T).
     """
     T, H, Y = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (T, H, Y))))
-    order = np.argsort(Y != 0.0, kind="stable")
-    T, H, Y = T[order], H[order], Y[order]
     m = T.size
-    normal_pieces = 4 * int(np.count_nonzero(Y == 0.0))
     s = p.a * H + p.b * H * H
     h = p.mu_B * H
     w = p.hbar_omega_D
@@ -238,23 +264,25 @@ def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
     pi_T = np.pi * T
     cuts = np.array([-s, *zeeman_edges(s, h, Y)]).T[state]
     scales = np.array([np.where(Y > 0, np.minimum(np.sqrt(Y), pi_T), pi_T), pi_T, pi_T]).T[state]
+    # Each piece's s, Y, 1/T, 2T, spin h and (1 - spin)/2, gathered in one take.
+    per_piece = np.array([s[state], Y[state], 1.0 / T[state], 2.0 * T[state],
+                          spin * h[state], 0.5 * (1.0 - spin)]).T
 
     def f(xi, k):
-        out = np.empty_like(xi)
-        cut = int(np.searchsorted(k, normal_pieces))  # k is sorted
-        for rows in (slice(0, cut), slice(cut, k.size)):
-            if rows.start < rows.stop:
-                i = state[k[rows], None]
-                out[rows] = _bracket(xi[rows], T[i], Y[i], s[i], h[i], spin[k[rows], None])
-        return dos_eval(dos, xi + p.mu, p) * out
+        s_k, *args = per_piece[k].T[..., None]
+        dens = dos_eval(dos, xi + p.mu, p)
+        out = np.empty(xi.shape + (2,))
+        for c, bracket in enumerate(_brackets(xi + s_k, *args)):
+            # Each component alone: np.stack along the last axis is slow.
+            np.multiply(dens, bracket, out=out[..., c])
+        return out
 
     pieces, piece_errors = integrate_many(f, lo, hi, quad, (cuts, scales))
-    pieces = pieces.reshape(m, 4)
-    values = np.empty(m)
-    values[order] = 0.5 * ((pieces[:, 0] + pieces[:, 1]) + (pieces[:, 2] + pieces[:, 3]))
+    pieces = pieces.reshape(m, 4, 2)
+    values = 0.5 * ((pieces[:, 0] + pieces[:, 1]) + (pieces[:, 2] + pieces[:, 3]))
     errors: dict[int, QuadratureError] = {}
     for k in sorted(piece_errors):
-        errors.setdefault(int(order[k // 4]), piece_errors[k])
+        errors.setdefault(k // 4, piece_errors[k])
     return values, errors
 
 
@@ -266,12 +294,12 @@ def grand_potential_S(
     gap: GapSolution,
     quad: QuadSpec | None = None,
 ) -> float:
-    """Superconducting grand potential at a solved gap.
+    """Superconducting grand potential at a solved gap: omega_N + psi.
 
-    With a zero gap this is the identical code path as
-    :func:`grand_potential_N`, so the two agree exactly there.
+    Both terms come from one quadrature.  With a zero gap psi is +0.0, so
+    the result equals :func:`grand_potential_N` exactly there.
     """
-    return float(first(*_omega_many(T, H, gap.Y, p, dos, quad))[0])
+    return float(first(*_omega_many(T, H, gap.Y, p, dos, quad))[0].sum())
 
 
 def grand_potential_N(
@@ -281,8 +309,8 @@ def grand_potential_N(
     dos: DosModel,
     quad: QuadSpec | None = None,
 ) -> float:
-    """Normal-state grand potential: the same expression with the gap forced to 0."""
-    return float(first(*_omega_many(T, H, 0.0, p, dos, quad))[0])
+    """Normal-state grand potential: the same quadrature with the gap forced to 0."""
+    return float(first(*_omega_many(T, H, 0.0, p, dos, quad))[0][1])
 
 
 def psi_many(
@@ -296,29 +324,23 @@ def psi_many(
 ) -> list[ThermoPoint | NumericsError]:
     """:func:`psi` at a batch of states (T and H broadcast to one length).
 
-    One batched gap solve, then one quadrature over the superconducting and
-    normal windows of every state.  Returns one entry per state: its
-    ``ThermoPoint``, or the ``NumericsError`` of its gap solve or of one of
-    its grand potentials.
+    One batched gap solve, then one quadrature that integrates psi and
+    omega_N of every state on shared panels; omega_S = omega_N + psi.
+    Returns one entry per state: its ``ThermoPoint``, or the
+    ``NumericsError`` of its gap solve or of its quadrature.
     """
     gaps = solve_gap_squared_many(T, H, p, dbox, spec, quad)
     solved = [i for i, g in enumerate(gaps) if isinstance(g, GapSolution)]
-    paired = [i for i in solved if gaps[i].Y != 0.0]
-    # omega_S of every solved state, then omega_N of those with an open gap.
-    rows = solved + paired
-    values, errors = _omega_many([gaps[i].T for i in rows], [gaps[i].H for i in rows],
-                                 [gaps[i].Y for i in solved] + [0.0] * len(paired),
-                                 p, dos, quad)
-    normal_row = dict(zip(paired, range(len(solved), len(rows))))
+    values, errors = _omega_many([gaps[i].T for i in solved], [gaps[i].H for i in solved],
+                                 [gaps[i].Y for i in solved], p, dos, quad)
     out: list[ThermoPoint | NumericsError] = list(gaps)
-    for k_s, i in enumerate(solved):
-        k_n = normal_row.get(i, k_s)
-        if k_s in errors or k_n in errors:
-            out[i] = errors.get(k_s, errors.get(k_n))
+    for k, i in enumerate(solved):
+        if k in errors:
+            out[i] = errors[k]
             continue
-        o_s, o_n = float(values[k_s]), float(values[k_n])
-        out[i] = ThermoPoint(T=gaps[i].T, H=gaps[i].H, omega_S=o_s, omega_N=o_n,
-                             psi=o_s - o_n, gap=gaps[i])
+        value, o_n = values[k].tolist()
+        out[i] = ThermoPoint(T=gaps[i].T, H=gaps[i].H, omega_S=o_n + value, omega_N=o_n,
+                             psi=value, gap=gaps[i])
     return out
 
 
@@ -372,7 +394,9 @@ def entropy_gap_many(
     solve), one ``F_partials_many`` at (T, H_c, 0), then the two edge
     slivers of every row in one quadrature.  Returns one entry per
     temperature: its dS, or the ``NumericsError`` of its H_c, its partials
-    or one of its slivers.
+    or one of its slivers.  A row whose mu_B H_c reaches hbar_omega_D
+    fails without integrating: its slivers then hold the non-integrable
+    pole at xi = -s.
 
     Raises:
         ValueError: naming T or hc, for a non-finite or non-positive
@@ -382,7 +406,14 @@ def entropy_gap_many(
     T = check_arg("T", T, positive=True).ravel()
     hcs = _hc_column(T, hc, p, dbox, spec, quad)
     out: list = list(hcs)
-    ok = [i for i, h in enumerate(hcs) if not isinstance(h, NumericsError)]
+    w = p.hbar_omega_D
+    for i, h in enumerate(hcs):
+        # Once h >= w each sliver holds the pole of 1/|xi + s| at xi = -s.
+        if not isinstance(h, NumericsError) and p.mu_B * h >= w:
+            out[i] = NumericsError(
+                f"entropy slivers hold the pole at xi = -s: mu_B H_c = {p.mu_B * h!r} "
+                f">= hbar_omega_D = {w!r}")
+    ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
     # On the critical curve Y = 0, so df/dT needs no gap solve.
     for i, r in zip(ok, implicit_partials_at(T[ok].tolist(), [hcs[i] for i in ok],
                                              [0.0] * len(ok), p, quad)):
@@ -391,7 +422,6 @@ def entropy_gap_many(
     H = np.array([hcs[i] for i in rows])
     s = p.a * H + p.b * H * H
     h = p.mu_B * H
-    w = p.hbar_omega_D
     # Sliver 2 j is row j's lower edge I1, sliver 2 j + 1 its upper edge I2.
     lo = np.column_stack([-w - s - h, w - s - h]).ravel()
     hi = np.column_stack([-w - s + h, w - s + h]).ravel()
@@ -437,10 +467,12 @@ def entropy_gap(
     return unwrap(entropy_gap_many(T, p, dos, dbox, spec, quad, hc)[0])
 
 
-# The finite difference divides potential gaps, small differences of two
-# integrals, by delta_T (2e-3 T by default), so its quadratures (H_c
-# included, where it is solved here) always run at this tolerance.
-_FD_QUAD = QuadSpec(1e-13, 1e-13)
+# Default step of the finite difference, relative to T.  psi is integrated
+# without cancellation, so what is left of the error of dS_fd is the
+# O(delta_T^2) Richardson truncation: at U1 = 0.05 over 0.8-0.97 tau1 it is
+# at most 0.085% (linear DOS) and 0.85% (sqrt DOS) with this step, against
+# 5.5% and 55% with 2e-3 T.
+FD_STEP = 2.5e-4
 
 
 def entropy_gap_fd_many(
@@ -466,20 +498,19 @@ def entropy_gap_fd_many(
             a delta_T outside (0, T), or a non-finite or negative hc.
     """
     T = check_arg("T", T, positive=True).ravel()
-    steps = 2e-3 * T if delta_T is None else np.broadcast_to(
+    steps = FD_STEP * T if delta_T is None else np.broadcast_to(
         np.asarray(delta_T, dtype=float), T.shape)
     bad = ~((0 < steps) & (steps < T))
     if bad.any():
         raise ValueError(f"delta_T must be in (0, T), got {float(steps[bad][0])!r}")
-    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, _FD_QUAD)
+    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, None)
     ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
     steps_ok = steps[ok].tolist()
     # psi(T, H_c) = 0 on the critical curve: only the two probes below T.
     probes = [x for t, d in zip(T[ok].tolist(), steps_ok) for x in (t - d, t - 0.5 * d)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        points = psi_many(probes, np.repeat([out[i] for i in ok], 2), p, dos, dbox, spec,
-                          _FD_QUAD)
+        points = psi_many(probes, np.repeat([out[i] for i in ok], 2), p, dos, dbox, spec)
     for k, (i, d) in enumerate(zip(ok, steps_ok)):
         row = points[2 * k:2 * k + 2]
         failed = [tp for tp in row if isinstance(tp, NumericsError)]
@@ -507,10 +538,12 @@ def entropy_gap_fd(
     Approaches (T, H_c(T)) from inside the superconducting region along
     fixed H = H_c(T): dS = -dPsi/dT estimated from steps delta_T and
     delta_T/2 with Richardson extrapolation.  Psi(T, H_c) = 0 on the
-    critical curve, so only the two probes below T are solved.  Every
-    quadrature of the finite difference runs at absolute and relative
-    tolerance 1e-13.  Independent cross-check of :func:`entropy_gap`; the
-    two must agree when the closed form is right.
+    critical curve, so only the two probes below T are solved.  The step
+    defaults to ``FD_STEP * T`` (2.5e-4 T), and every quadrature runs at
+    the default ``QuadSpec``: psi is integrated without cancellation, so
+    it keeps its digits at the probes even at weak coupling, where it is
+    about 1e-16.  Independent cross-check of :func:`entropy_gap`; the two
+    must agree when the closed form is right.
 
     When T sits at the box lower bound the probe dips just below T0; that
     is deliberate, so the below-T0 warning is suppressed for the probes.

@@ -251,6 +251,16 @@ def test_entropy_linear_negative_both_methods(capsys):
     assert float(fields["dS_fd"]) < 0.0
 
 
+def test_entropy_fd_keeps_its_sign_at_weak_coupling(capsys):
+    # psi at the probes is about 1e-16 here; taken as a difference of two
+    # grand potentials of size 0.67 it once gave dS_fd = +4.79e-9.
+    code, out, _ = run(capsys, "--json", "--set", "U1=0.05", "entropy", "--T", "0.9tau1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dS_formula"] < 0.0 and payload["dS_fd"] < 0.0
+    assert payload["dS_fd"] == pytest.approx(payload["dS_formula"], rel=0.05)
+
+
 def test_entropy_constant_dos_vanishes(capsys):
     code, out, _ = run(capsys, "entropy", "--T", "0.9tau1", "--dos", "constant")
     assert code == 0

@@ -23,6 +23,7 @@ from bcsfield import (
     solve_hc_many,
     write_csv,
 )
+from bcsfield.thermo import FD_STEP
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +94,7 @@ def test_psi_surface_nonpositive(small_sweep):
     _, result = small_sweep
     for T, H, omega_s, omega_n, value in result.psi_surface:
         assert value <= 1e-12
-        assert value == omega_s - omega_n
+        assert omega_s == omega_n + value
 
 
 def test_fixed_h_grid_rows(p, dbox):
@@ -225,7 +226,7 @@ def test_failed_entropy_row_leaves_the_other_rows_unchanged(p, dbox):
     T = np.linspace(*spec.T_grid).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        probes = [solve_gap_squared(t - 2e-3 * t, hc, p, dbox).Y
+        probes = [solve_gap_squared(t - FD_STEP * t, hc, p, dbox).Y
                   for t, hc in zip(T, solve_hc_many(T, p, dbox))]
     worst = int(np.argmax(probes))
     second = max(y for k, y in enumerate(probes) if k != worst)

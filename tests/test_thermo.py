@@ -27,17 +27,58 @@ from bcsfield import (
     solve_hc_many,
 )
 from bcsfield import solvers, thermo
+from bcsfield.kernel import zeeman_edges
 from bcsfield.numerics import NumericsError, QuadSpec, integrate_many
 from bcsfield.solvers import DomainWarning
-from bcsfield.thermo import _bracket, _omega_many
+from bcsfield.thermo import FD_STEP, _brackets, _omega_many
 
 
-def _bracket_up(xi, T, Y, s, h):
-    return _bracket(xi, T, Y, s, h, 1.0)
+def _bracket(xi, T, Y, s, h, spin):
+    """Grand-potential bracket of one spin (+1 up, -1 down) at squared gap Y: a reference.
+
+    Up:   eta - eta^2/E - (Y/E) f(beta(E + h)) - 2T ln(1 + e^(-beta(E + h)));
+    down: eta - (eta^2 + 2Y)/E + (Y/E) f(-beta(E - h)) - 2T ln(1 + e^(-beta(E - h))).
+    omega_S and omega_N are two integrals of it, at Y and at 0; their
+    difference is psi, taken with the cancellation that the library avoids.
+    """
+    eta = np.asarray(xi, dtype=float) + s
+    paired = np.any(Y)
+    E = np.sqrt(eta * eta + Y) if paired else np.abs(eta)
+    x = (1.0 / T) * (E + spin * h)
+    t = np.exp(-np.abs(x))
+    log_term = np.maximum(-x, 0.0) + np.log1p(t)
+    if paired:
+        f = np.where(spin * x >= 0, t / (1.0 + t), 1.0 / (1.0 + t))
+        core = eta - (eta * eta + (1.0 - spin) * Y) / E - spin * (Y / E) * f
+    else:
+        core = eta - E
+    return core - 2.0 * T * log_term
 
 
-def _bracket_dn(xi, T, Y, s, h):
-    return _bracket(xi, T, Y, s, h, -1.0)
+def _brackets_at(xi, T, Y, s, h, spin):
+    """The library's (bracket_S - bracket_N, bracket_N) of one spin, from physical arguments."""
+    return _brackets(np.asarray(xi, dtype=float) + s, Y, 1.0 / T, 2.0 * T, spin * h,
+                     0.5 * (1.0 - spin))
+
+
+def omega_two_integrals(T, H, Y, p, dos, quad=None):
+    """omega at squared gap Y integrated from the reference bracket: a reference.
+
+    The pieces, cuts and scales are those of the library's quadrature.
+    """
+    s, h, w = p.a * H + p.b * H * H, p.mu_B * H, p.hbar_omega_D
+    spin = np.array([1.0, 1.0, -1.0, -1.0])
+    lo, hi = -w - s - spin * h, w - s - spin * h
+    split = np.clip(-s, lo, hi)
+    lo, hi = np.where([1, 0, 1, 0], lo, split), np.where([1, 0, 1, 0], split, hi)
+    cuts = np.tile([-s, *zeeman_edges(s, h, Y)], (4, 1))
+    scales = np.tile([min(math.sqrt(Y), math.pi * T) if Y > 0 else math.pi * T,
+                      math.pi * T, math.pi * T], (4, 1))
+    values, errors = integrate_many(
+        lambda xi, k: dos_eval(dos, xi + p.mu, p) * _bracket(xi, T, Y, s, h, spin[k, None]),
+        lo, hi, quad, (cuts, scales))
+    assert not errors
+    return 0.5 * ((values[0] + values[1]) + (values[2] + values[3]))
 
 
 def zero_gap(T, H):
@@ -114,38 +155,9 @@ def test_normal_equals_superconducting_with_zero_gap(p, dbox):
     assert a == b  # identical code path, bit for bit
 
 
-def _bracket_both_forms(xi, T, Y, s, h, spin):
-    """The bracket with both forms on every node, chosen per node by Y."""
-    from bcsfield import fermi, log1p_exp_neg
-
-    eta = xi + s
-    beta = 1.0 / T
-    normal = Y == 0.0
-    E = np.where(normal, np.abs(eta), np.sqrt(eta * eta + Y))
-    E_safe = np.where(normal, 1.0, E)
-    gapped = (eta - (eta * eta + (1.0 - spin) * Y) / E_safe
-              - spin * (Y / E_safe) * fermi(spin * (beta * (E + spin * h))))
-    core = np.where(normal, eta - E, gapped)
-    return core - 2.0 * T * log1p_exp_neg(beta * (E + spin * h))
-
-
-def test_bracket_forms_are_the_per_node_choice_bit_for_bit(p, rng):
-    # Y = 0 and Y > 0 nodes take separate forms with one shared exponential;
-    # every node keeps the value of the form chosen node by node.
-    k = 200
-    xi = rng.uniform(-1.2, 1.2, (k, 15))
-    T = 10.0 ** rng.uniform(-4, -1, (k, 1))
-    s, h = rng.uniform(0.0, 0.05, (k, 1)), rng.uniform(0.0, 0.06, (k, 1))
-    spin = rng.choice([1.0, -1.0], (k, 1))
-    xi[:5] = -s[:5]  # E = 0 at Y = 0
-    for Y in (np.zeros((k, 1)), 10.0 ** rng.uniform(-12, -1, (k, 1))):
-        assert np.array_equal(_bracket(xi, T, Y, s, h, spin),
-                              _bracket_both_forms(xi, T, Y, s, h, spin))
-
-
 def test_omega_batch_keeps_state_order_and_error_keys(p, dbox, monkeypatch):
-    # Paired and normal states interleaved: the normal ones are integrated
-    # first, yet each value and error stays at its state's index.
+    # Paired and normal states interleaved: each value and error stays at its
+    # state's index, and equals the state's value alone.
     import bcsfield.thermo as thermo
 
     dos = dos_linear(1.0, 0.5)
@@ -153,16 +165,16 @@ def test_omega_batch_keeps_state_order_and_error_keys(p, dbox, monkeypatch):
     H = [0.004, 0.01, 0.002, 0.0, 0.0]
     Y = [1e-3, 0.0, 2e-4, 0.0, 5e-4]
     values, errors = _omega_many(T, H, Y, p, dos, None)
-    assert not errors
+    assert not errors and values.shape == (5, 2)
     for i in range(5):
-        assert values[i] == _omega_many(T[i], H[i], Y[i], p, dos, None)[0][0]
-    bracket = thermo._bracket
+        assert np.array_equal(values[i], _omega_many(T[i], H[i], Y[i], p, dos, None)[0][0])
+    brackets = thermo._brackets
 
-    def nan_at(xi, T_, *args):
-        out = bracket(xi, T_, *args)
-        return np.where(np.isin(T_, [T[1], T[2]]), np.nan, out)
+    def nan_at(eta, Y_, inv_T, *args):
+        gap, normal = brackets(eta, Y_, inv_T, *args)
+        return gap, np.where(np.isin(inv_T, [1.0 / T[1], 1.0 / T[2]]), np.nan, normal)
 
-    monkeypatch.setattr(thermo, "_bracket", nan_at)
+    monkeypatch.setattr(thermo, "_brackets", nan_at)
     failed, errors = _omega_many(T, H, Y, p, dos, None)
     assert sorted(errors) == [1, 2]
     assert np.isnan(failed[[1, 2]]).all()
@@ -170,19 +182,22 @@ def test_omega_batch_keeps_state_order_and_error_keys(p, dbox, monkeypatch):
 
 
 def test_spin_brackets_coincide_at_zero_field_normal_state(p):
-    # With the gap forced to zero and H = 0 the two spin windows and their
-    # integrands are identical.  (At Y > 0 the channels differ pointwise by
-    # Y/E: the condensation term is split asymmetrically between spins, and
-    # only their sum is physical.)
+    # At H = 0 the two spin windows and their normal brackets are identical,
+    # and so are the reference's at Y = 0.  (At Y > 0 the channels differ
+    # pointwise by Y/E: the condensation term is split asymmetrically between
+    # spins, and only their sum is physical.)
     xi = np.linspace(-1.0, 1.0, 17)
-    up = _bracket_up(xi, 0.03, 0.0, 0.0, 0.0)
-    dn = _bracket_dn(xi, 0.03, 0.0, 0.0, 0.0)
+    gap_up, up = _brackets_at(xi, 0.03, 0.0, 0.0, 0.0, 1.0)
+    gap_dn, dn = _brackets_at(xi, 0.03, 0.0, 0.0, 0.0, -1.0)
     assert np.array_equal(up, dn)
+    assert np.array_equal(up, _bracket(xi, 0.03, 0.0, 0.0, 0.0, 1.0))
+    assert np.array_equal(gap_up, np.zeros_like(xi)) and not np.signbit(gap_up).any()
+    assert np.array_equal(gap_dn, np.zeros_like(xi)) and not np.signbit(gap_dn).any()
     Y = 2e-3
-    up_s = _bracket_up(xi, 0.03, Y, 0.0, 0.0)
-    dn_s = _bracket_dn(xi, 0.03, Y, 0.0, 0.0)
+    gap_up, _ = _brackets_at(xi, 0.03, Y, 0.0, 0.0, 1.0)
+    gap_dn, _ = _brackets_at(xi, 0.03, Y, 0.0, 0.0, -1.0)
     E = np.sqrt(xi * xi + Y)
-    assert np.allclose(up_s - dn_s, Y / E, rtol=1e-12)
+    assert np.allclose(gap_up - gap_dn, Y / E, rtol=1e-12)
 
 
 def test_bracket_half_sum_matches_symmetric_form(p):
@@ -197,7 +212,7 @@ def test_bracket_half_sum_matches_symmetric_form(p):
     xi = np.linspace(-1.0 - s - h, 1.0 - s + h, 301)
     eta = xi + s
     E = np.sqrt(eta * eta + Y)
-    avg = 0.5 * (_bracket_up(xi, T, Y, s, h) + _bracket_dn(xi, T, Y, s, h))
+    avg = 0.5 * sum(sum(_brackets_at(xi, T, Y, s, h, spin)) for spin in (1.0, -1.0))
     symmetric = (
         eta
         - eta * eta / E
@@ -206,6 +221,8 @@ def test_bracket_half_sum_matches_symmetric_form(p):
         - T * log1p_exp_neg(beta * (E - h))
     )
     assert np.allclose(avg, symmetric, rtol=1e-13, atol=1e-15)
+    reference = 0.5 * (_bracket(xi, T, Y, s, h, 1.0) + _bracket(xi, T, Y, s, h, -1.0))
+    assert np.allclose(avg, reference, rtol=1e-13, atol=1e-15)
 
 
 def test_normal_state_entropy_positive(p, dbox):
@@ -240,8 +257,9 @@ def test_omega_finite_at_low_temperature(p):
                    min_size=20, max_size=40),
 )
 def test_grand_potentials_meet_their_tolerance(p, dbox, kind, slope, fracs):
-    # omega_S and omega_N at sweep-like states, at least 2000 per run: a
-    # whole-piece panel once passed a spin-up piece 6.2e-7 off by accident.
+    # psi and omega_N at sweep-like states, at least 2000 per run, paired
+    # and at Y = 0: a whole-piece panel once passed a spin-up piece 6.2e-7
+    # off by accident.
     dos = {"linear": dos_linear(1.0, slope), "sqrt": dos_sqrt(), "constant": dos_constant()}[kind]
     T = [dbox.T0 + u * (dbox.tau1 - dbox.T0) for u, _, _ in fracs]
     H = [v * dbox.H_max for _, v, _ in fracs] * 2
@@ -253,9 +271,16 @@ def test_grand_potentials_meet_their_tolerance(p, dbox, kind, slope, fracs):
 
 
 def test_brackets_finite_across_removable_point(p):
-    # E -> 0 inside the window (Y = 0, eta = 0) stays finite.
-    up = _bracket_up(np.array([0.0]), 0.03, 0.0, 0.0, 0.02)
-    assert np.isfinite(up).all()
+    # E -> 0 inside the window (Y = 0, eta = 0) stays finite, with the
+    # difference exactly +0.0 and no warning (pytest would raise it).
+    for spin in (1.0, -1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap, normal = _brackets_at(np.array([0.0, -0.0, 5e-324]), 0.03, 0.0, 0.0, 0.02, spin)
+        assert np.array_equal(gap, [0.0, 0.0, 0.0]) and not np.signbit(gap).any()
+        assert np.isfinite(normal).all()
+        assert np.array_equal(normal, _bracket(np.array([0.0, -0.0, 5e-324]), 0.03, 0.0, 0.0,
+                                               0.02, spin))
 
 
 # ------------------------------------------------------------------- psi
@@ -268,7 +293,7 @@ def test_psi_zero_on_critical_curve(p, tau1, dbox):
         hc = solve_hc(T, p, dbox)
         tp = psi(T, hc, p, dos, dbox)
         assert abs(tp.psi) <= 1e-8 * abs(tp.omega_N)
-        assert tp.psi == tp.omega_S - tp.omega_N
+        assert tp.omega_S == tp.omega_N + tp.psi
 
 
 def test_psi_negative_near_transition_constant_dos(p, tau1, dbox):
@@ -294,9 +319,12 @@ def test_psi_continuous_across_critical_field(p, tau1, dbox):
     hc = solve_hc(T, p, dbox)
     eps = 1e-4 * hc
     left = psi(T, hc - eps, p, dos, dbox).psi
-    right = psi(T, hc + eps, p, dos, dbox).psi
+    beyond = psi(T, hc + eps, p, dos, dbox)
+    right = beyond.psi
     omega_scale = abs(psi(T, hc, p, dos, dbox).omega_N)
-    assert right == 0.0
+    # +0.0, so that no CSV cell prints -0, and omega_S is omega_N exactly.
+    assert right == 0.0 and math.copysign(1.0, right) == 1.0
+    assert beyond.omega_S == beyond.omega_N
     assert abs(left - right) <= 1e-6 * omega_scale
 
 
@@ -397,13 +425,11 @@ def entropy_gap_by_gap_solve(T, hc, p, dos, dbox):
 
 
 def entropy_gap_fd_by_three_probes(T, hc, p, dos, dbox):
-    """Richardson estimate from psi at T, T - d and T - d/2, d = 2e-3 T: a reference."""
-    d = 2e-3 * T
-    quad = QuadSpec(1e-13, 1e-13)
+    """Richardson estimate from psi at T, T - d and T - d/2, d = FD_STEP T: a reference."""
+    d = FD_STEP * T
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        psi_0, psi_1, psi_2 = (psi(t, hc, p, dos, dbox, quad=quad).psi
-                               for t in (T, T - d, T - 0.5 * d))
+        psi_0, psi_1, psi_2 = (psi(t, hc, p, dos, dbox).psi for t in (T, T - d, T - 0.5 * d))
     assert psi_0 == 0.0
     return 2.0 * ((psi_2 - psi_0) / (0.5 * d)) - (psi_1 - psi_0) / d
 
@@ -508,3 +534,109 @@ def test_densely_tabulated_dos(p, tau1, dbox):
     ds = entropy_gap(dbox.T0, p, dos, dbox)
     assert ds < 0.0
     assert entropy_gap_fd(dbox.T0, p, dos, dbox) == pytest.approx(ds, rel=0.05)
+
+
+# ------------------------------------------------ psi without cancellation
+
+
+def _psi_bracket_50_digits(eta, Y, T, h, spin):
+    """bracket_S - bracket_N of one spin in 50-digit decimal arithmetic: a reference."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        eta, Y, T, h, spin = (Decimal(float(v)) for v in (eta, Y, T, h, spin))
+
+        def log1p(y):
+            return y - y * y / 2 + y ** 3 / 3 - y ** 4 / 4 if abs(y) < Decimal("1e-13") \
+                else (1 + y).ln()
+
+        def softplus_neg(z):  # ln(1 + e^-z)
+            return log1p((-z).exp()) if z > 0 else -z + log1p(z.exp())
+
+        E = (eta * eta + Y).sqrt()
+        x = (E + spin * h) / T
+        u = (abs(eta) + spin * h) / T
+        f = 1 / (1 + (spin * x).exp())
+        S = eta - (eta * eta + (1 - spin) * Y) / E - spin * (Y / E) * f - 2 * T * softplus_neg(x)
+        N = eta - abs(eta) - 2 * T * softplus_neg(u)
+        return float(S - N)
+
+
+def test_psi_bracket_against_50_digits_on_cold_high_field_nodes(rng):
+    from bcsfield import fermi
+
+    # Spin-down nodes with mu_B H / T up to 3e4 and T down to 1e-5, most of
+    # them inside the Zeeman edges (|eta| < h) and with d = E - |eta| from
+    # T/10 to 1000 T, where 1 + f(u) expm1(-d/T) falls below 1/2; a
+    # quarter are spin up.
+    n = 1200
+    T = 10.0 ** rng.uniform(-5.0, -2.0, n)
+    h = T * 10.0 ** rng.uniform(0.0, math.log10(3e4), n)
+    eta = rng.uniform(-1.2, 1.2, n) * h
+    Y = (T * 10.0 ** rng.uniform(-1.0, 3.0, n)) ** 2
+    spin = np.where(rng.random(n) < 0.75, -1.0, 1.0)
+    gap, _ = _brackets_at(eta, T, Y, 0.0, h, spin)
+    a = np.abs(eta)
+    d = Y / (np.sqrt(eta * eta + Y) + a)
+    u = (a + spin * h) / T
+    assert np.count_nonzero(fermi(u) * np.expm1(-d / T) < -0.5) > n // 4
+    ref = np.array([_psi_bracket_50_digits(*args) for args in zip(eta, Y, T, h, spin)])
+    assert np.all(np.abs(gap - ref) <= 1e-10 * np.abs(ref))
+
+
+@pytest.mark.parametrize("U1", [0.08, 0.15, 0.25])
+def test_psi_matches_the_two_integral_difference_at_tight_tolerance(U1):
+    from bcsfield import MaterialParams, domain_from, solve_tau1
+
+    q = MaterialParams(U1=U1)
+    t1 = solve_tau1(q)
+    box = domain_from(q, 0.8 * t1, t1)
+    dos = dos_linear(1.0, 0.5)
+    tight = QuadSpec(1e-13, 1e-13)
+    T = [f * t1 for f in (0.82, 0.9, 0.97)]
+    hcs = solve_hc_many(T, q, box)
+    for t, hc in zip(T, hcs):
+        for H in (0.0, 0.5 * hc):
+            tp = psi(t, H, q, dos, box)
+            Y = tp.gap.Y
+            difference = (omega_two_integrals(t, H, Y, q, dos, tight)
+                          - omega_two_integrals(t, H, 0.0, q, dos, tight))
+            assert abs(tp.psi - difference) <= 1e-13
+            assert tp.omega_S == tp.omega_N + tp.psi
+
+
+@pytest.mark.parametrize("U1", [0.05, 0.08, 0.15, 0.25])
+def test_entropy_fd_matches_the_formula_at_every_coupling(U1):
+    # At U1 = 0.05 psi at the probes is about 1e-16: a difference of two
+    # grand potentials of size 0.67 gave dS_fd the wrong sign there.
+    from bcsfield import MaterialParams, domain_from, solve_tau1
+
+    q = MaterialParams(U1=U1)
+    t1 = solve_tau1(q)
+    box = domain_from(q, 0.8 * t1, t1)
+    T = np.linspace(0.8 * t1, 0.97 * t1, 10)
+    hcs = solve_hc_many(T, q, box)
+    for dos in (dos_linear(1.0, 0.5), dos_sqrt()):
+        ds = entropy_gap_many(T, q, dos, box, hc=hcs)
+        ds_fd = entropy_gap_fd_many(T, q, dos, box, hc=hcs)
+        for value, value_fd in zip(ds, ds_fd):
+            assert value < 0.0
+            assert value_fd == pytest.approx(value, rel=0.05)
+
+
+def test_entropy_slivers_holding_the_pole_fail_by_name():
+    # At U1 = 1.5, mu_B H_c >= hbar_omega_D at 0.8 and 0.84 tau1: each
+    # sliver then holds the pole of 1/|xi + s|, which no quadrature meets.
+    from bcsfield import MaterialParams, domain_from, solve_tau1
+
+    q = MaterialParams(U1=1.5)
+    t1 = solve_tau1(q)
+    box = domain_from(q, 0.8 * t1, t1)
+    T = [0.8 * t1, 0.84 * t1, 0.9 * t1]
+    dos = dos_sqrt()
+    out = entropy_gap_many(T, q, dos, box)
+    for row in out[:2]:
+        assert isinstance(row, NumericsError)
+        assert "mu_B H_c" in str(row) and "hbar_omega_D = 1.0" in str(row)
+    assert out[2] == entropy_gap(T[2], q, dos, box)
