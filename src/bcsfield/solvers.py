@@ -390,7 +390,10 @@ def hc_slope_at_tc(
                         / [I (sinh(u)/u - 1) / (1 + cosh(u)) de],  u = xi/tau1,
 
     with the removable u -> 0 limit of the denominator integrand handled by
-    its quadratic series.  Always negative; scales exactly as 1/a.
+    its quadratic series.  Both integrals are taken in u over [-hbar_omega_D
+    / tau1, hbar_omega_D / tau1], graded toward u = 0 with width 1, so that
+    their peaks of width tau1 in xi are resolved at any coupling.  Always
+    negative; scales exactly as 1/a.
 
     This is not the slope of the solved curve.  F is even in H at H = 0
     (F_H(tau1, 0, 0) = 0), so the curve leaves tau1 with a square-root cusp,
@@ -401,16 +404,19 @@ def hc_slope_at_tc(
     """
     if tau1 is None:
         tau1 = solve_tau1(p, spec, quad)
-    w = p.hbar_omega_D
+    # In u = xi / tau1 both integrands are peaks of width 1 at u = 0, and tau1
+    # cancels from their ratio.
+    w = p.hbar_omega_D / tau1
 
-    def integrand(xi, owner):
+    def integrand(u, owner):
         # Numerator and denominator on shared panels, each to its tolerance.
-        u = xi / tau1
         small = np.abs(u) < 1e-4
         u_safe = np.where(small, 1.0, u)
-        direct = np.tanh(0.5 * u_safe) / u_safe - 2.0 * fermi_delta(u_safe)
-        return np.stack([2.0 * fermi_delta(u), np.where(small, u * u / 12.0, direct)], axis=-1)
+        den = np.tanh(0.5 * u_safe) / u_safe - 2.0 * fermi_delta(u_safe)
+        den[small] = u[small] ** 2 / 12.0
+        return np.stack([2.0 * fermi_delta(u), den], axis=-1)
 
-    num, den = (float(v) for v in first(*integrate_many(integrand, [-w], [w], quad))[0])
+    num, den = (float(v) for v in first(*integrate_many(
+        integrand, [-w], [w], quad, ([[0.0]], [[1.0]])))[0])
     return -num / (p.a * tau1 * den)
 

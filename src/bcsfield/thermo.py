@@ -1,16 +1,17 @@
 """Grand potentials over spin-split windows, their difference, and the entropy gap.
 
-The grand potential is evaluated as two integrals over the spin-shifted
-windows
+The grand potential is half the sum of two integrals over the
+spin-shifted windows
 
     I_up = [-w - s - h, w - s - h],      I_dn = [-w - s + h, w - s + h],
 
 with w the Debye energy, s = a H + b H^2 the orbital shift and h = mu_B H
-the Zeeman energy.  The gap entering the brackets is the xi-independent
-constant solved on the symmetric window; the windows themselves keep their
-physical shifts.  That window mismatch is exactly what makes the entropy
-gap nonzero for a non-constant density of states, and with it the phase
-transition first order.
+the Zeeman energy.  Both are taken as one integral over [-w, w] in
+eps = xi + s + spin h, each node adding both spins.  The gap entering the
+brackets is the xi-independent constant solved on the symmetric window;
+the windows themselves keep their physical shifts.  That window mismatch
+is exactly what makes the entropy gap nonzero for a non-constant density
+of states, and with it the phase transition first order.
 
 ``psi_many`` solves the gaps of a batch of states and integrates psi =
 omega_S - omega_N and omega_N of all of them in one breadth-first
@@ -231,6 +232,11 @@ def _brackets(eta, Y, inv_T, two_T, spin_h, down):
     return gap, normal
 
 
+# Spin up and spin down along the first axis of the integrand's nodes: the
+# spin-down flag (1 - spin)/2 of each.
+_DOWN = np.array([0.0, 1.0])[:, None, None]
+
+
 def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
                 quad: QuadSpec | None) -> tuple[np.ndarray, dict[int, QuadratureError]]:
     """psi and omega_N at a batch of states: ``(values, errors)``.
@@ -239,51 +245,38 @@ def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
     gap Y, integrated node by node as bracket_S - bracket_N (see
     :func:`_brackets`), and column 1 is omega_N; both come from one
     two-component quadrature on shared panels, and omega_S is their sum.
-    Each spin window [-w - s - spin h, w - s - spin h] is split at the
-    brackets' kink or sharp peak at xi = -s, which keeps every panel
-    analytic; a split point outside the window leaves one empty piece.
-    All 4m pieces go to one quadrature, each graded toward xi = -s (width
-    min(sqrt(Y), pi T), or pi T at Y = 0) and toward the Zeeman edges of
-    the squared gap Y (width pi T).
+    Each state is one interval in eps = eta + spin h, which maps both spin
+    windows [-w - s - spin h, w - s - spin h] onto [-w, w]; a node adds
+    both spins, (1/2) sum_spin D(eps - s - spin h + mu) bracket(eta = eps
+    - spin h).  Level 0 is graded toward each spin's kink or sharp peak at
+    eta = 0, eps = +-h (width min(sqrt(Y), pi T), or pi T at Y = 0), and
+    toward the spin-down Zeeman edges eps = -h -+ sqrt(h^2 - Y) (width
+    pi T); spin up has none, its u >= h/T > 0.
     """
     T, H, Y = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (T, H, Y))))
-    m = T.size
     s = p.a * H + p.b * H * H
     h = p.mu_B * H
-    w = p.hbar_omega_D
-    # piece k = 4 i + j: state i, spin up (j = 0, 1) or down (j = 2, 3).
-    spin = np.tile([1.0, 1.0, -1.0, -1.0], m)
-    state = np.repeat(np.arange(m), 4)
-    lo = -w - s[state] - spin * h[state]
-    hi = w - s[state] - spin * h[state]
-    split = np.clip(-s[state], lo, hi)
-    left = np.tile([True, False, True, False], m)
-    lo, hi = np.where(left, lo, split), np.where(left, split, hi)
-
+    w = np.full(T.size, p.hbar_omega_D)
     pi_T = np.pi * T
-    cuts = np.array([-s, *zeeman_edges(s, h, Y)]).T[state]
-    scales = np.array([np.where(Y > 0, np.minimum(np.sqrt(Y), pi_T), pi_T), pi_T, pi_T]).T[state]
-    # Each piece's s, Y, 1/T, 2T, spin h and (1 - spin)/2, gathered in one take.
-    per_piece = np.array([s[state], Y[state], 1.0 / T[state], 2.0 * T[state],
-                          spin * h[state], 0.5 * (1.0 - spin)]).T
+    peak = np.where(Y > 0, np.minimum(np.sqrt(Y), pi_T), pi_T)
+    cuts = np.array([h, -h, *zeeman_edges(h, h, Y)]).T
+    scales = np.array([peak, peak, pi_T, pi_T]).T
+    per_state = np.array([p.mu - s, h, Y, 1.0 / T, 2.0 * T]).T
 
-    def f(xi, k):
-        s_k, *args = per_piece[k].T[..., None]
-        dens = dos_eval(dos, xi + p.mu, p)
-        out = np.empty(xi.shape + (2,))
-        for c, bracket in enumerate(_brackets(xi + s_k, *args)):
+    def f(eps, k):
+        mu_s, h_k, *args = per_state[k].T[..., None]
+        spin_h = np.array([h_k, -h_k])
+        eta = eps - spin_h
+        dens = 0.5 * dos_eval(dos, eta + mu_s, p)
+        out = np.empty(eps.shape + (2,))
+        for c, bracket in enumerate(_brackets(eta, *args, spin_h, _DOWN)):
             # Each component alone: np.stack along the last axis is slow.
-            np.multiply(dens, bracket, out=out[..., c])
+            terms = dens * bracket
+            np.add(terms[0], terms[1], out=out[..., c])
         return out
 
-    pieces, piece_errors = integrate_many(f, lo, hi, quad, (cuts, scales))
-    pieces = pieces.reshape(m, 4, 2)
-    values = 0.5 * ((pieces[:, 0] + pieces[:, 1]) + (pieces[:, 2] + pieces[:, 3]))
-    errors: dict[int, QuadratureError] = {}
-    for k in sorted(piece_errors):
-        errors.setdefault(k // 4, piece_errors[k])
-    return values, errors
+    return integrate_many(f, -w, w, quad, (cuts, scales))
 
 
 def grand_potential_S(

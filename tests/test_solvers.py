@@ -443,6 +443,19 @@ def test_slope_closed_form(p, tau1):
     assert hc_slope_at_tc(p, tau1=tau1) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("U1", [1.36e-3, 0.01, 0.02])
+def test_slope_closed_form_at_weak_coupling(U1):
+    # tau1 is 2.4e-160, 2.2e-22 and 1.6e-11: the integrands are peaks far
+    # narrower than the Debye window, and u * u must not overflow.
+    q = MaterialParams(U1=U1)
+    t1 = solve_tau1(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = hc_slope_at_tc(q, tau1=t1)
+    expected = -2.0 / (q.a * t1 * (1.0 / U1 - 2.0))
+    assert slope == pytest.approx(expected, rel=1e-12)
+
+
 # ------------------------------------------------------- input validation
 
 

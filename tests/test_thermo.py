@@ -64,7 +64,9 @@ def _brackets_at(xi, T, Y, s, h, spin):
 def omega_two_integrals(T, H, Y, p, dos, quad=None):
     """omega at squared gap Y integrated from the reference bracket: a reference.
 
-    The pieces, cuts and scales are those of the library's quadrature.
+    Each spin window is integrated in xi, split at xi = -s into two pieces,
+    and every piece is graded toward xi = -s and the Zeeman edges: a layout
+    independent of the library's one interval per state.
     """
     s, h, w = p.a * H + p.b * H * H, p.mu_B * H, p.hbar_omega_D
     spin = np.array([1.0, 1.0, -1.0, -1.0])
@@ -179,6 +181,34 @@ def test_omega_batch_keeps_state_order_and_error_keys(p, dbox, monkeypatch):
     assert sorted(errors) == [1, 2]
     assert np.isnan(failed[[1, 2]]).all()
     assert np.array_equal(failed[[0, 3, 4]], values[[0, 3, 4]])
+
+
+def test_omega_integrates_one_debye_window_per_state(p, dbox, monkeypatch):
+    # Both spins of a state share one interval in eps = eta + spin h, so the
+    # quadrature sees m intervals [-w, w] and its error keys are state indices.
+    T = [0.9 * dbox.tau1, 0.85 * dbox.tau1, 0.95 * dbox.tau1]
+    H = [0.004, 0.01, 0.0]
+    Y = [1e-3, 0.0, 2e-4]
+    calls = []
+    integrate_many_ = thermo.integrate_many
+    brackets = thermo._brackets
+
+    def recorded(f, lo, hi, *args):
+        values, errors = integrate_many_(f, lo, hi, *args)
+        calls.append((np.asarray(lo), np.asarray(hi), sorted(errors)))
+        return values, errors
+
+    def nan_at(eta, Y_, inv_T, *args):
+        gap, normal = brackets(eta, Y_, inv_T, *args)
+        return gap, np.where(inv_T == 1.0 / T[1], np.nan, normal)
+
+    monkeypatch.setattr(thermo, "integrate_many", recorded)
+    monkeypatch.setattr(thermo, "_brackets", nan_at)
+    _, errors = _omega_many(T, H, Y, p, dos_linear(1.0, 0.5), None)
+    [(lo, hi, raw)] = calls
+    w = p.hbar_omega_D
+    assert lo.tolist() == [-w] * 3 and hi.tolist() == [w] * 3
+    assert raw == sorted(errors) == [1]
 
 
 def test_spin_brackets_coincide_at_zero_field_normal_state(p):
@@ -587,23 +617,26 @@ def test_psi_bracket_against_50_digits_on_cold_high_field_nodes(rng):
 
 @pytest.mark.parametrize("U1", [0.08, 0.15, 0.25])
 def test_psi_matches_the_two_integral_difference_at_tight_tolerance(U1):
+    # The sqrt DOS takes the spin-shifted argument D(eps - s - spin h + mu)
+    # non-linearly.
     from bcsfield import MaterialParams, domain_from, solve_tau1
 
     q = MaterialParams(U1=U1)
     t1 = solve_tau1(q)
     box = domain_from(q, 0.8 * t1, t1)
-    dos = dos_linear(1.0, 0.5)
     tight = QuadSpec(1e-13, 1e-13)
     T = [f * t1 for f in (0.82, 0.9, 0.97)]
     hcs = solve_hc_many(T, q, box)
-    for t, hc in zip(T, hcs):
-        for H in (0.0, 0.5 * hc):
-            tp = psi(t, H, q, dos, box)
-            Y = tp.gap.Y
-            difference = (omega_two_integrals(t, H, Y, q, dos, tight)
-                          - omega_two_integrals(t, H, 0.0, q, dos, tight))
-            assert abs(tp.psi - difference) <= 1e-13
-            assert tp.omega_S == tp.omega_N + tp.psi
+    for dos in (dos_linear(1.0, 0.5), dos_sqrt()):
+        for t, hc in zip(T, hcs):
+            for H in (0.0, 0.5 * hc):
+                tp = psi(t, H, q, dos, box)
+                Y = tp.gap.Y
+                omega_N = omega_two_integrals(t, H, 0.0, q, dos, tight)
+                difference = omega_two_integrals(t, H, Y, q, dos, tight) - omega_N
+                assert abs(tp.psi - difference) <= 1e-13
+                assert abs(tp.omega_N - omega_N) <= 1e-12 * abs(omega_N)
+                assert tp.omega_S == tp.omega_N + tp.psi
 
 
 @pytest.mark.parametrize("U1", [0.05, 0.08, 0.15, 0.25])
