@@ -17,8 +17,8 @@ Every function here is pure, accepts numpy arrays for the energy-like
 argument (and arrays of states that broadcast against it), and is
 overflow-safe for arbitrarily small temperatures: the thermal weight is
 written with no positive exponent that can overflow, the derivatives in
-Fermi-function forms, and the removable singularities at E -> 0 get explicit
-limit branches.  ``F_eval_many`` and ``F_partials_many``
+Fermi-function forms, and E is one ``hypot`` that neither underflows nor
+cancels.  ``F_eval_many`` and ``F_partials_many``
 integrate a whole batch of states in one breadth-first quadrature; the
 scalar ``F_eval`` and ``F_partials`` are their batch-of-one cases.
 """
@@ -48,8 +48,9 @@ __all__ = [
     "F_partials_many",
 ]
 
-# E below 1e-8 * T takes the removable-limit branch of J.
-SINGULAR_E_FRACTION = 1e-8
+# The smallest normal double.  J raises E/T to it, where its weight is
+# exactly the E -> 0 limit; thermo raises E to it to keep 0/0 out of its brackets.
+_TINY = np.finfo(float).tiny
 
 # E/T below which the Y-derivative of J switches to its cancellation-free
 # series, and below which the T- and Zeeman-derivatives switch to their
@@ -100,15 +101,23 @@ def _shift(H: float, p: MaterialParams) -> float:
     return p.a * H + p.b * H * H
 
 
-def quasiparticle_energy(xi, H: float, Y: float, p: MaterialParams):
-    """E = sqrt((xi + a H + b H^2)^2 + Y).
+def _energy(eta, Y):
+    """E = sqrt(eta^2 + Y) as hypot(eta, sqrt(Y)), for eta = xi + a H + b H^2.
 
-    When every Y of the call is 0, E is |xi + a H + b H^2|: the same double
-    wherever the square is a normal number, and exact where the square
-    underflows (|eta| < 1.5e-154), where the sqrt form loses digits or is 0.
+    No square is formed, so nothing underflows where eta^2 or Y is below
+    the normal range, and E is exactly |eta| at Y = 0.
     """
-    eta = np.asarray(xi, dtype=float) + _shift(H, p)
-    out = np.sqrt(eta * eta + Y) if np.any(Y) else np.abs(eta)
+    return np.hypot(eta, np.sqrt(Y))
+
+
+def quasiparticle_energy(xi, H: float, Y: float, p: MaterialParams):
+    """E = sqrt((xi + a H + b H^2)^2 + Y), taken as one ``hypot``.
+
+    Accurate wherever E is a double, including where the square of
+    xi + a H + b H^2 or Y itself is subnormal; exactly |xi + a H + b H^2|
+    at Y = 0.
+    """
+    out = _energy(np.asarray(xi, dtype=float) + _shift(H, p), Y)
     return float(out) if out.ndim == 0 else out
 
 
@@ -149,23 +158,14 @@ def thermal_weight(T: float, E, H: float, p: MaterialParams):
 
 
 def integrand_J(T: float, H: float, Y: float, xi, p: MaterialParams):
-    """J = thermal_weight(E) / E with the removable E -> 0 limit.
+    """J = thermal_weight(E) / E = w(z) / (z T), z = E/T, with no branch.
 
-    Where E < SINGULAR_E_FRACTION * T the limit
-    ``1 / (T (1 + cosh(mu_B H / T)))`` is returned instead of 0/0.  The cut
-    scales with T alone: there J differs from its limit by a relative
-    O((E/T)^2) below double resolution, while any E >> T, however small
-    against hbar_omega_D, keeps the full expression.
+    z is raised to the smallest normal double, where expm1(-2z) is exactly
+    -2z: there J is its E -> 0 limit ``1 / (T (1 + cosh(mu_B H / T)))``
+    instead of 0/0, and any z above it keeps the full expression.
     """
-    xi = np.asarray(xi, dtype=float)
-    E = np.asarray(quasiparticle_energy(xi, H, Y, p))
-    z1 = p.mu_B * H / T
-    small = E < SINGULAR_E_FRACTION * T
-    if small.any():
-        E_safe = np.where(small, 1.0, E)
-        out = np.where(small, 2.0 * fermi_delta(z1) / T, _weight(E_safe / T, z1) / E_safe)
-    else:
-        out = np.asarray(_weight(E / T, z1) / E)
+    z = np.maximum(quasiparticle_energy(xi, H, Y, p) / T, _TINY)
+    out = np.asarray(_weight(z, p.mu_B * H / T) / (z * T))
     return float(out) if out.ndim == 0 else out
 
 
@@ -270,7 +270,7 @@ def _dJ_all(T, H, Y, xi, p: MaterialParams):
       mu_B dJ/d(mu_B H) = mu_B (r(z+z1) - r(z-z1)) / (2 T E).
     """
     eta = np.asarray(xi, dtype=float) + _shift(H, p)
-    E = np.sqrt(eta * eta + Y)
+    E = _energy(eta, Y)
     z = E / T
     z1 = p.mu_B * H / T
     rp = 2.0 * fermi_delta(z + z1)

@@ -378,6 +378,11 @@ def implicit_partials(
     return unwrap(implicit_partials_many(T, H, p, dbox, spec, quad)[0])
 
 
+# (sinh u - u) / u^3 = sum over k of u^(2k) / (2k + 3)!, highest power
+# first; nine terms leave a truncation below 5e-17 relative on |u| < 1.
+_SINH_SERIES = [1.0 / math.factorial(2 * k + 3) for k in range(8, -1, -1)]
+
+
 def hc_slope_at_tc(
     p: MaterialParams,
     spec: RootSpec | None = None,
@@ -389,11 +394,13 @@ def hc_slope_at_tc(
         -(1 / (a tau1)) * [I de / (1 + cosh(xi/tau1))]
                         / [I (sinh(u)/u - 1) / (1 + cosh(u)) de],  u = xi/tau1,
 
-    with the removable u -> 0 limit of the denominator integrand handled by
-    its quadratic series.  Both integrals are taken in u over [-hbar_omega_D
-    / tau1, hbar_omega_D / tau1], graded toward u = 0 with width 1, so that
-    their peaks of width tau1 in xi are resolved at any coupling.  Always
-    negative; scales exactly as 1/a.
+    with the denominator integrand (sinh u - u) / (u (1 + cosh u)) taken
+    from the series of (sinh u - u) / u^3 on |u| < 1, where the difference
+    would cancel, and as tanh(u/2)/u - 1/(1 + cosh u) beyond.  Both
+    integrals are taken in u over [-hbar_omega_D / tau1, hbar_omega_D /
+    tau1], graded toward u = 0 with width 1, so that their peaks of width
+    tau1 in xi are resolved at any coupling.  Always negative; scales
+    exactly as 1/a.
 
     This is not the slope of the solved curve.  F is even in H at H = 0
     (F_H(tau1, 0, 0) = 0), so the curve leaves tau1 with a square-root cusp,
@@ -410,11 +417,12 @@ def hc_slope_at_tc(
 
     def integrand(u, owner):
         # Numerator and denominator on shared panels, each to its tolerance.
-        small = np.abs(u) < 1e-4
-        u_safe = np.where(small, 1.0, u)
-        den = np.tanh(0.5 * u_safe) / u_safe - 2.0 * fermi_delta(u_safe)
-        den[small] = u[small] ** 2 / 12.0
-        return np.stack([2.0 * fermi_delta(u), den], axis=-1)
+        r = 2.0 * fermi_delta(u)
+        small = np.abs(u) < 1.0
+        u2 = np.where(small, u, 0.0) ** 2
+        den = np.where(small, u2 * np.polyval(_SINH_SERIES, u2) * r,
+                       np.tanh(0.5 * u) / np.where(small, 1.0, u) - r)
+        return np.stack([r, den], axis=-1)
 
     num, den = (float(v) for v in first(*integrate_many(
         integrand, [-w], [w], quad, ([[0.0]], [[1.0]])))[0])

@@ -37,10 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import fermi, log1p_exp_neg, zeeman_edges
+from .kernel import _TINY, _energy, fermi, log1p_exp_neg, zeeman_edges
 # ``integrate`` stays importable here: bench/spans.py patches thermo.integrate
 # by name.
 from .numerics import (  # noqa: F401
+    DEFAULT_QUAD,
     NumericsError,
     QuadratureError,
     QuadSpec,
@@ -182,18 +183,15 @@ class ThermoPoint:
     gap: GapSolution | None = field(repr=False, compare=False, default=None)
 
 
-# Every E is raised to the smallest normal double: that changes no node at
-# Y > 0, where E >= sqrt(Y), and keeps 0/0 out of the node eta = 0 at Y = 0.
-_TINY = np.finfo(float).tiny
-
-
 def _brackets(eta, Y, inv_T, two_T, spin_h, down):
     """Grand-potential brackets of one spin at the nodes ``eta = xi + s``.
 
     Returns ``(bracket_S - bracket_N, bracket_N)`` for the spin of
     ``spin_h = spin h`` and ``down = (1 - spin) / 2`` (spin +1 up, -1
     down), with ``inv_T = 1/T`` and ``two_T = 2T``; each argument after
-    ``eta`` may be an array that broadcasts against it.  With
+    ``eta`` may be an array that broadcasts against it.  E is the kernel's
+    hypot(eta, sqrt(Y)) raised to the smallest normal double, which changes
+    no node at Y > 0 and keeps 0/0 out of the node eta = 0 at Y = 0.  With
     d = E - |eta| = Y / (E + |eta|), u = (|eta| + spin h) / T and
     x = u + d / T:
 
@@ -211,7 +209,7 @@ def _brackets(eta, Y, inv_T, two_T, spin_h, down):
     every node.
     """
     a = np.abs(eta)
-    E = np.maximum(np.sqrt(eta * eta + Y), _TINY)
+    E = np.maximum(_energy(eta, Y), _TINY)
     d = Y / (E + a)
     u = inv_T * (a + spin_h)
     t = np.exp(-np.abs(u))
@@ -389,7 +387,10 @@ def entropy_gap_many(
     temperature: its dS, or the ``NumericsError`` of its H_c, its partials
     or one of its slivers.  A row whose mu_B H_c reaches hbar_omega_D
     fails without integrating: its slivers then hold the non-integrable
-    pole at xi = -s.
+    pole at xi = -s.  So does a row whose 2 mu_B H_c is lost to the
+    rounding of its sliver bounds near -+hbar_omega_D: where a rounded
+    width misses 2 mu_B H_c by more than ``rel_tol`` of it, the slivers
+    would integrate a different field.
 
     Raises:
         ValueError: naming T or hc, for a non-finite or non-positive
@@ -400,30 +401,34 @@ def entropy_gap_many(
     hcs = _hc_column(T, hc, p, dbox, spec, quad)
     out: list = list(hcs)
     w = p.hbar_omega_D
-    for i, h in enumerate(hcs):
-        # Once h >= w each sliver holds the pole of 1/|xi + s| at xi = -s.
-        if not isinstance(h, NumericsError) and p.mu_B * h >= w:
-            out[i] = NumericsError(
-                f"entropy slivers hold the pole at xi = -s: mu_B H_c = {p.mu_B * h!r} "
-                f">= hbar_omega_D = {w!r}")
-    ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
-    # On the critical curve Y = 0, so df/dT needs no gap solve.
-    for i, r in zip(ok, implicit_partials_at(T[ok].tolist(), [hcs[i] for i in ok],
-                                             [0.0] * len(ok), p, quad)):
-        out[i] = r
-    rows = [i for i in ok if not isinstance(out[i], NumericsError)]
-    H = np.array([hcs[i] for i in rows])
+    H = np.array([math.nan if isinstance(x, NumericsError) else x for x in hcs])
     s = p.a * H + p.b * H * H
     h = p.mu_B * H
+    # Row i's lower edge I1 and upper edge I2, each 2h wide before rounding.
+    lo = np.column_stack([-w - s - h, w - s - h])
+    hi = np.column_stack([-w - s + h, w - s + h])
+    width_err = np.abs(hi - lo - 2.0 * h[:, None]).max(axis=1)
+    for i, h_i in enumerate(h.tolist()):
+        # Once h >= w each sliver holds the pole of 1/|xi + s| at xi = -s.
+        if h_i >= w:
+            out[i] = NumericsError(f"entropy slivers hold the pole at xi = -s: "
+                                   f"mu_B H_c = {h_i!r} >= hbar_omega_D = {w!r}")
+        elif width_err[i] > (quad or DEFAULT_QUAD).rel_tol * 2.0 * h_i:
+            out[i] = NumericsError(f"entropy slivers lose their width to rounding: 2 mu_B H_c "
+                                   f"= {2.0 * h_i!r} is below the resolution of hbar_omega_D = {w!r}")
+    ok = [i for i, r in enumerate(out) if not isinstance(r, NumericsError)]
+    # On the critical curve Y = 0, so df/dT needs no gap solve.
+    for i, r in zip(ok, implicit_partials_at(T[ok].tolist(), H[ok].tolist(),
+                                             [0.0] * len(ok), p, quad)):
+        out[i] = r
     # Sliver 2 j is row j's lower edge I1, sliver 2 j + 1 its upper edge I2.
-    lo = np.column_stack([-w - s - h, w - s - h]).ravel()
-    hi = np.column_stack([-w - s + h, w - s + h]).ravel()
-    s_of = np.repeat(s, 2)
+    rows = [i for i in ok if not isinstance(out[i], NumericsError)]
+    s_of = np.repeat(s[rows], 2)
 
     def edge_weight(xi, k):
         return dos_eval(dos, xi + p.mu, p) / np.abs(xi + s_of[k, None])
 
-    slivers, errors = integrate_many(edge_weight, lo, hi, quad)
+    slivers, errors = integrate_many(edge_weight, lo[rows].ravel(), hi[rows].ravel(), quad)
     for j, i in enumerate(rows):
         if 2 * j in errors or 2 * j + 1 in errors:
             out[i] = errors.get(2 * j, errors.get(2 * j + 1))

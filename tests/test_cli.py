@@ -261,6 +261,15 @@ def test_entropy_fd_keeps_its_sign_at_weak_coupling(capsys):
     assert payload["dS_fd"] == pytest.approx(payload["dS_formula"], rel=0.05)
 
 
+def test_entropy_fails_where_rounding_takes_the_sliver_width(capsys):
+    # At U1 = 0.01, 2 mu_B H_c = 2.8e-22 is below the spacing of the doubles
+    # near -+hbar_omega_D = -+1: the rounded sliver bounds had width 0, and
+    # dS_formula read exactly 0.0.
+    code, _, err = run(capsys, "--set", "U1=0.01", "entropy", "--T", "0.9tau1")
+    assert code == 2
+    assert "2 mu_B H_c = 2.836" in err and "hbar_omega_D = 1.0" in err
+
+
 def test_entropy_constant_dos_vanishes(capsys):
     code, out, _ = run(capsys, "entropy", "--T", "0.9tau1", "--dos", "constant")
     assert code == 0

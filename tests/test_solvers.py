@@ -190,16 +190,18 @@ def test_gap_meets_f_tol_at_weak_coupling(U1):
 
 
 def test_gap_at_a_subnormal_Y0_stops_at_its_resolution():
-    # At U1 = 1.38e-3, Y0 ~ 1e-314 is subnormal and x_tol * Y0 underflows to
-    # 0, so the width stop is one ulp of Y0.  F is about const - ln(Y) / 2
-    # there, so one ulp of Y moves F by about ulp / (2 Y).
-    p = MaterialParams(U1=1.38e-3)
-    tau1 = solve_tau1(p)
-    box = domain_from(p, 0.8 * tau1, tau1)
-    for T in (0.8 * tau1, 0.9 * tau1, 0.99 * tau1):
-        gap = solve_gap_squared(T, 0.0, p, box)
-        assert not gap.boundary and 0.0 < gap.Y < box.Y0
-        assert abs(gap.residual) <= max(RootSpec().f_tol, math.ulp(box.Y0) / gap.Y)
+    # Y0 is subnormal here (2e-322 at U1 = 1.345e-3, 3e-314 at 1.38e-3) and
+    # x_tol * Y0 underflows to 0, so the width stop is one ulp of Y0.  F is
+    # about const - ln(Y) / 2 there, so one ulp of Y moves F by about
+    # ulp / (2 Y).
+    for U1 in (1.345e-3, 1.36e-3, 1.37e-3, 1.38e-3):
+        p = MaterialParams(U1=U1)
+        tau1 = solve_tau1(p)
+        box = domain_from(p, 0.8 * tau1, tau1)
+        for T in (0.8 * tau1, 0.9 * tau1, 0.99 * tau1):
+            gap = solve_gap_squared(T, 0.0, p, box)
+            assert not gap.boundary and 0.0 < gap.Y < box.Y0
+            assert abs(gap.residual) <= max(RootSpec().f_tol, math.ulp(box.Y0) / gap.Y)
 
 
 def test_gap_warns_outside_guarantee_zone(p, dbox):
@@ -441,6 +443,18 @@ def test_slope_closed_form(p, tau1):
     # denominator -> tau1 (1/U1 - 2), both up to exp(-1/tau1) corrections.
     expected = -2.0 / (p.a * tau1 * (1.0 / p.U1 - 2.0))
     assert hc_slope_at_tc(p, tau1=tau1) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("U1, tau1, expected", [
+    (653.0, 652.9999501985177, -23508.000228586265),
+    (10.0, 9.997222339456362, -360.03203092487807),
+])
+def test_slope_at_strong_coupling_matches_a_40_digit_reference(U1, tau1, expected):
+    # tau1 > hbar_omega_D, so every node has |u| < 1, where the denominator
+    # integrand (sinh u - u) / (u (1 + cosh u)) cancels as a difference (to
+    # 3.2e-10 relative at U1 = 653).  The references integrate both
+    # integrands at this tau1 with mpmath at 40 digits.
+    assert hc_slope_at_tc(MaterialParams(U1=U1), tau1=tau1) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("U1", [1.36e-3, 0.01, 0.02])
