@@ -31,7 +31,7 @@ import numpy as np
 
 # ``integrate`` stays importable here: bench/spans.py patches kernel.integrate
 # by name.
-from .numerics import QuadratureError, QuadSpec, first, integrate, integrate_many  # noqa: F401
+from .numerics import QuadratureError, QuadSpec, _integrate_many, first, integrate  # noqa: F401
 from .params import MaterialParams, check_arg
 
 __all__ = [
@@ -201,7 +201,7 @@ def _integrate_states(pointwise, T, H, Y, p: MaterialParams, quad: QuadSpec | No
     def f(xi, i):
         return pointwise(T[i, None], H[i, None], Y[i, None], xi, p)
 
-    return integrate_many(f, np.full(T.size, -w), np.full(T.size, w), quad, (cuts, scales))
+    return _integrate_many(f, np.full(T.size, -w), np.full(T.size, w), quad, (cuts, scales))
 
 
 def F_eval_many(

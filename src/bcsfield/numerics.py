@@ -36,7 +36,14 @@ level 0 that sorted its points alongside): the graded level 0 takes 35,
 a 160 us scalar F; the rest were its 50-odd small numpy calls.  One
 lockstep root iteration's own bookkeeping takes 29 us at 1 root, 33 us at
 36 and 47 us at 144, against 40, 43 and 59 us when the state arrays were
-compacted on every iteration.
+compacted on every iteration.  The level-0 budget (``_level0_budget``)
+takes 23 us for one state of F (12 panels) and 44 us for 36 (444 panels)
+with one ``np.bincount`` per column and sum, against 24 and 52 us for one
+over (interval, column) bins (medians of 15 interleaved timings in one
+process).  The argument checks of :func:`integrate_many` cost about 20 us
+of a 300 us scalar F, so the package's own integrals, whose bounds and
+features come from checked states, call the unchecked core
+``_integrate_many``.
 """
 
 from __future__ import annotations
@@ -300,7 +307,9 @@ def _level0(lo, hi, features):
     interval nearer to it than to the others) at ``cut +- scale * 2**(k -
     1)`` for k = 0, 1, ... out to the cell's farther end, so that the panel
     widths grow geometrically away from each cut.  Equal cuts of one
-    interval count as one, with the smallest of their scales.
+    interval count as one, with the smallest of their scales.  A cut at
+    +-inf, where a caller's shift of a finite state overflowed, lies
+    outside every interval and counts as absent.
 
     Once each interval's cuts are sorted (absent ones last), its points are
     in position order as written: ``lo``, then for each cut its steps below
@@ -313,14 +322,8 @@ def _level0(lo, hi, features):
     if features is None:
         owner = np.flatnonzero(lo < hi)
         return owner, lo[owner], hi[owner]
-    cuts, scales = (np.asarray(v, dtype=float) for v in features)
-    if cuts.ndim != 2 or cuts.shape != scales.shape or cuts.shape[0] != lo.size:
-        raise ValueError(
-            f"features need cuts and scales of one shape ({lo.size}, c), "
-            f"got {cuts.shape} and {scales.shape}"
-        )
-    if np.any(np.isinf(cuts) | (~np.isnan(cuts) & ~(scales > 0))):
-        raise ValueError("features need finite cuts (NaN if absent) and scales > 0")
+    cuts, scales = features
+    cuts = np.where(np.isinf(cuts), np.nan, cuts)
     # Each row's cuts in order, absent (NaN) ones last.
     order = np.argsort(cuts, axis=1) + np.arange(0, cuts.size, cuts.shape[1])[:, None]
     cuts, scales = cuts.take(order), scales.take(order)
@@ -431,8 +434,6 @@ def integrate_many(
         ValueError: if some lo > hi, a bound is not finite, the bounds are
             not 1-d arrays of one shape, or ``features`` is malformed.
     """
-    if spec is None:
-        spec = DEFAULT_QUAD
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape:
@@ -442,6 +443,31 @@ def integrate_many(
     if np.any(lo > hi):
         i = int(np.argmax(lo > hi))
         raise ValueError(f"integrate requires lo <= hi, got [{float(lo[i])!r}, {float(hi[i])!r}]")
+    if features is not None:
+        features = tuple(np.asarray(v, dtype=float) for v in features)
+        cuts, scales = features
+        if cuts.ndim != 2 or cuts.shape != scales.shape or cuts.shape[0] != lo.size:
+            raise ValueError(
+                f"features need cuts and scales of one shape ({lo.size}, c), "
+                f"got {cuts.shape} and {scales.shape}"
+            )
+        if np.any(np.isinf(cuts) | (~np.isnan(cuts) & ~(scales > 0))):
+            raise ValueError("features need finite cuts (NaN if absent) and scales > 0")
+    return _integrate_many(f, lo, hi, spec, features)
+
+
+def _integrate_many(f: Callable, lo: np.ndarray, hi: np.ndarray, spec: QuadSpec | None,
+                    features) -> tuple[np.ndarray, dict[int, QuadratureError]]:
+    """:func:`integrate_many` without its argument checks.
+
+    For callers that build the bounds and features from checked states:
+    ``lo`` and ``hi`` are 1-d float arrays of one shape with finite
+    ``lo <= hi``, and ``features`` is None or a pair of (m, c) float arrays,
+    scales > 0 and cuts finite or NaN where absent (an infinite cut counts
+    as absent, see ``_level0``).
+    """
+    if spec is None:
+        spec = DEFAULT_QUAD
     errors: dict[int, QuadratureError] = {}
     total = tol = None
     components: tuple[int, ...] = ()

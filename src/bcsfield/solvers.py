@@ -22,6 +22,7 @@ their batch-of-one cases.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,6 +114,108 @@ _NEWTON_LIMIT = 50
 # Weak-coupling ratio tau1 / (hbar_omega_D e^(-1/(2 U1))) = 2 e^gamma / pi.
 TAU1_WEAK_COUPLING = 2.0 * math.exp(np.euler_gamma) / math.pi
 
+# Below this u = hbar_omega_D / (2 T), _F_tau1 integrates tanh(x) / x over
+# [0, u] by the 20-point Gauss-Legendre rule (_gauss_legendre).  The
+# integrand's nearest poles are at x = +-i pi / 2, off the interval, and the
+# rule is within 3e-16 relative of the integral for u <= 3 (7e-16 at
+# u = 4).  At and above it _F_tau1 sums E1 terms: 7 at u = 3, each about 20
+# steps of its continued fraction, but 38 terms of about 16 steps at
+# u = 1/2, where one F would cost 150 us.
+_U_QUADRATURE = 3.0
+
+# A Newton step s in ln T leaves the root of F(T, 0, 0) about
+# s^2 u / sinh(2u) <= s^2 / 2 away (see _F_tau1_root), below 1e-16 once
+# |s| <= 1e-8.
+_CLOSED_STEP = 1e-8
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, float], ...]:
+    """The 20-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs.
+
+    Built on first use, at strong coupling: importing numpy.polynomial adds
+    about 4% to the set-up time of a process that never needs it.
+    """
+    x, w = np.polynomial.legendre.leggauss(20)
+    return tuple(zip((0.5 + 0.5 * x).tolist(), (0.5 * w).tolist()))
+
+
+def _e1(x: float) -> float:
+    """Exponential integral E1(x) for x >= 6, from its continued fraction.
+
+    The even contraction of Abramowitz & Stegun 5.1.22,
+    E1(x) = e^(-x) / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - ...))), evaluated
+    by the modified Lentz method until a factor is within 2^-52 of 1: 20
+    steps at x = 6 and fewer above, of at most 40.  Where e^(-x) underflows
+    to 0 (x > 745, and x = inf), so does E1, and no step is taken.
+    """
+    scale = math.exp(-x)
+    if scale == 0.0:
+        return 0.0
+    b = x + 1.0
+    c = 1e300
+    d = h = 1.0 / b
+    for n in range(1, 41):
+        b += 2.0
+        d = 1.0 / (b - n * n * d)
+        c = b - n * n / c
+        h *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            break
+    return h * scale
+
+
+def _F_tau1(T: float, T_s: float, p: MaterialParams) -> float:
+    """F(T, 0, 0) in closed form, with no quadrature; T_s is the seed of solve_tau1.
+
+    With u = hbar_omega_D / (2 T), F = 2 G(u) - 1/U1 for G(u) = integral from
+    0 to u of tanh(x) / x dx, which is also 2 ln(T_s / T) + 2 I(u) with
+    I(u) = integral from u to infinity of (1 - tanh x) / x dx (solve_tau1).
+    Below _U_QUADRATURE, G(u) comes from a fixed Gauss-Legendre rule;
+    there tau1 is above hbar_omega_D / 6, and at strong coupling
+    2 G(u) - 1/U1 cancels no term of size ln(T / T_s).  At and above it,
+    where the seed is decided, the second form is used, with
+    I(u) = 2 sum over k >= 1 of (-1)^(k+1) E1(2 k u) summed until a term is
+    below 1e-17 of the sum (3 terms at the default u = 12.4, 7 at u = 3, of
+    at most 20), so that F(T_s) is exactly 2 I(u).
+    """
+    u = 0.5 * p.hbar_omega_D / T
+    if u < _U_QUADRATURE:
+        return 2.0 * sum(w * math.tanh(u * t) / t for t, w in _gauss_legendre()) - 1.0 / p.U1
+    tail, sign = 0.0, 1.0
+    for k in range(1, 21):
+        term = _e1(2.0 * k * u)
+        tail += sign * term
+        sign = -sign
+        if term <= 1e-17 * tail:
+            break
+    return 2.0 * math.log(T_s / T) + 4.0 * tail
+
+
+def _F_tau1_root(T_s: float, p: MaterialParams, f_tol: float) -> float:
+    """The root of :func:`_F_tau1`: T_s where ``|F(T_s)| <= f_tol``, else Newton steps in ln T.
+
+    In ln T, F(T, 0, 0) is decreasing and convex (see solve_tau1), and its
+    curvature over twice its slope is u / sinh(2 u) <= 1/2, so the iterates
+    rise from T_s and a step s leaves the root within about s^2 / 2.  Stops
+    once a step is at most _CLOSED_STEP, or where a step would leave
+    (0, inf), returning the last T inside.
+    """
+    T = T_s
+    F = _F_tau1(T, T_s, p)
+    if abs(F) <= f_tol:
+        return T
+    for _ in range(_NEWTON_LIMIT):
+        step = F / (2.0 * math.tanh(0.5 * p.hbar_omega_D / T))
+        nxt = T * math.exp(step)
+        if not 0.0 < nxt < math.inf:  # false for NaN too
+            break
+        T = nxt
+        if abs(step) <= _CLOSED_STEP:
+            break
+        F = _F_tau1(T, T_s, p)
+    return T
+
 
 def solve_tau1(
     p: MaterialParams,
@@ -127,23 +230,34 @@ def solve_tau1(
         T_s = (2 e^gamma / pi) hbar_omega_D e^(-1/(2 U1)),
 
     with the positive tail I(u) = integral from u to infinity of
-    (1 - tanh x) / x dx.  The weak-coupling value T_s is the seed and is
-    returned when ``|F(T_s)| <= f_tol``.  Otherwise Newton steps in ln T,
+    (1 - tanh x) / x dx.  The seed is the root of this closed form, taken
+    with no quadrature (:func:`_F_tau1_root`): T_s itself where the closed
+    form puts ``|F(T_s)| <= f_tol``, else the end of Newton steps on the
+    closed form.  From the seed, Newton steps in ln T on the quadrature F,
 
         T <- T exp(F / (2 tanh u)),   u = hbar_omega_D / (2 T),
 
-    run until ``|F| <= f_tol`` or a step moves T by at most ``x_tol * T``.  In
-    ln T, F has slope -2 tanh u < 0 and curvature 2 u sech^2 u > 0: it is
-    decreasing and convex, so every tangent lies below it.  From F >= 0 the
-    iterates rise monotonically to the root and never overshoot; from F < 0
-    (quadrature noise at the seed) one step lands below the root and the
-    iteration then rises.
+    run until ``|F| <= f_tol`` or a step moves T by at most ``x_tol * T``,
+    so the quadrature stays the arbiter.  In ln T, F has slope
+    -2 tanh u < 0 and curvature 2 u sech^2 u > 0: it is decreasing and
+    convex, so every tangent lies below it.  From F >= 0 the iterates rise
+    monotonically to the root and never overshoot; from F < 0 (quadrature
+    noise at the seed) one step lands below the root and the iteration then
+    rises.  The closed form agrees with the quadrature F to 2e-14 or better
+    from U1 = 0.05 to 653, so the first quadrature meets f_tol and a solve
+    takes one evaluation of F at every coupling tried, from the
+    ``MaterialParams`` floor to U1 = 1e3 at hbar_omega_D = 1.  From
+    hbar_omega_D = 4.5 up, the floor lets hbar_omega_D / T_s overflow; there
+    E1 is 0, T_s is the seed, and the quadrature F, which overflows too,
+    fails with a NumericsError.
 
-    ``|F| <= f_tol`` bounds ln tau1 only to about
-    ``f_tol / (2 tanh(hbar_omega_D / (2 tau1)))``.  At strong coupling,
-    tau1 >> hbar_omega_D, that is a relative error of about
-    ``f_tol * tau1 / hbar_omega_D`` in tau1: 1.6e-9 at U1 = 15.5 and 6.5e-8
-    at U1 = 653 for the default f_tol, with hbar_omega_D = 1.
+    Where T_s is kept, ``|F| <= f_tol`` bounds ln tau1 to about
+    ``f_tol / (2 tanh u)``, which is f_tol / 2 there (u >= 3): 1.4e-12 at
+    the default U1 = 0.15.  Elsewhere the seed's own rounding bounds it:
+    the Newton step left at the returned tau1 is at most 7e-16 relative
+    from U1 = 0.05 to 1e3, where stopping on ``|F| <= f_tol`` alone left
+    1.1e-8 at U1 = 653 (a relative error of about ``f_tol * tau1 /
+    hbar_omega_D`` once tau1 >> hbar_omega_D).
 
     Raises:
         NumericsError: on a non-finite F or step, or no convergence within
@@ -151,10 +265,11 @@ def solve_tau1(
     """
     if spec is None:
         spec = DEFAULT_ROOT
-    T = TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
+    T_s = TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
     # Every T evaluated is the seed times e^step for a finite step, and is
-    # checked below to stay in (0, inf): checking the seed checks them all.
-    check_arg("T", T, positive=True)
+    # checked to stay in (0, inf): checking the seed checks them all.
+    check_arg("T", T_s, positive=True)
+    T = _F_tau1_root(T_s, p, spec.f_tol)
     for _ in range(_NEWTON_LIMIT):
         F = float(first(*_F_many(np.array([T]), 0.0, 0.0, p, quad))[0])
         if abs(F) <= spec.f_tol:

@@ -46,9 +46,9 @@ from .numerics import (  # noqa: F401
     QuadratureError,
     QuadSpec,
     RootSpec,
+    _integrate_many,
     first,
     integrate,
-    integrate_many,
     unwrap,
 )
 from .params import DomainBox, MaterialParams, check_arg
@@ -274,7 +274,7 @@ def _omega_many(T, H, Y, p: MaterialParams, dos: DosModel,
             np.add(terms[0], terms[1], out=out[..., c])
         return out
 
-    return integrate_many(f, -w, w, quad, (cuts, scales))
+    return _integrate_many(f, -w, w, quad, (cuts, scales))
 
 
 def grand_potential_S(
@@ -289,7 +289,13 @@ def grand_potential_S(
 
     Both terms come from one quadrature.  With a zero gap psi is +0.0, so
     the result equals :func:`grand_potential_N` exactly there.
+
+    Raises:
+        ValueError: naming T or H, for a non-finite or non-positive
+            temperature or a non-finite or negative field.
     """
+    check_arg("T", T, positive=True)
+    check_arg("H", H)
     return float(first(*_omega_many(T, H, gap.Y, p, dos, quad))[0].sum())
 
 
@@ -300,7 +306,14 @@ def grand_potential_N(
     dos: DosModel,
     quad: QuadSpec | None = None,
 ) -> float:
-    """Normal-state grand potential: the same quadrature with the gap forced to 0."""
+    """Normal-state grand potential: the same quadrature with the gap forced to 0.
+
+    Raises:
+        ValueError: naming T or H, for a non-finite or non-positive
+            temperature or a non-finite or negative field.
+    """
+    check_arg("T", T, positive=True)
+    check_arg("H", H)
     return float(first(*_omega_many(T, H, 0.0, p, dos, quad))[0][1])
 
 
@@ -428,7 +441,7 @@ def entropy_gap_many(
     def edge_weight(xi, k):
         return dos_eval(dos, xi + p.mu, p) / np.abs(xi + s_of[k, None])
 
-    slivers, errors = integrate_many(edge_weight, lo[rows].ravel(), hi[rows].ravel(), quad)
+    slivers, errors = _integrate_many(edge_weight, lo[rows].ravel(), hi[rows].ravel(), quad, None)
     for j, i in enumerate(rows):
         if 2 * j in errors or 2 * j + 1 in errors:
             out[i] = errors.get(2 * j, errors.get(2 * j + 1))

@@ -289,6 +289,16 @@ def test_F_partials_of_no_states_have_three_columns(p):
     assert values.shape == (0, 3) and not errors
 
 
+def test_F_where_the_orbital_shift_overflows(p):
+    # s = a H + b H^2 is inf: every E is inf, J = 0 and F is its limit
+    # -1/U1.  The infinite cuts at xi = -s grade nothing; F_partials
+    # marks its state failed instead of returning NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert F_eval(StatePoint(0.04, 1e200, 0.0), p) == -1.0 / p.U1
+        values, errors = F_partials_many(0.04, 1e200, 0.0, p)
+    assert values.shape == (1, 3) and list(errors) == [0]
+
+
 def test_F_decay_bound_in_Y(p, rng):
     # J <= 1/E <= 1/sqrt(Y) pointwise, so F + 1/U1 <= 2 hbar_omega_D/sqrt(Y).
     for Y in (1e-4, 1e-2, 1.0, 25.0):

@@ -135,6 +135,55 @@ def test_tau1_strong_coupling_expansion():
     assert previous > math.e * TAU1_WEAK_COUPLING * math.exp(-0.5 / 3.0)
 
 
+@pytest.mark.parametrize("U1", [0.05, 0.15, 0.25, 1.0, 15.5, 653.0])
+def test_tau1_closed_form_matches_the_quadrature(U1):
+    # Both branches of the closed form and their crossing at u = 3: at
+    # U1 = 0.25, T from 0.5 to 2 tau1 is u from 6.5 down to 1.6.
+    q = MaterialParams(U1=U1)
+    tau1 = solve_tau1(q)
+    T_s = TAU1_WEAK_COUPLING * q.hbar_omega_D * math.exp(-0.5 / U1)
+    for T in np.linspace(0.5, 2.0, 31) * tau1:
+        closed = solvers._F_tau1(float(T), T_s, q)
+        assert abs(closed - F_eval(StatePoint(float(T), 0.0, 0.0), q)) <= 1e-13, T
+
+
+@pytest.mark.parametrize("U1", [0.13, 0.16, 0.2, 0.25, 0.5, 1.0, 2.0, 15.5, 653.0])
+def test_tau1_takes_one_integrand_call(U1, integrand_calls):
+    # Newton starts at the root of the closed form, and one quadrature
+    # confirms it.
+    q = MaterialParams(U1=U1)
+    tau1 = solve_tau1(q)
+    assert integrand_calls[0] == 1
+    assert abs(F_eval(StatePoint(tau1, 0.0, 0.0), q)) <= RootSpec().f_tol
+
+
+def test_tau1_at_the_default_coupling_is_the_seed_exactly(p):
+    assert solve_tau1(p) == TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
+
+
+@pytest.mark.parametrize("w", [8.0, 2.0**10, 2.0**100])
+def test_tau1_ends_where_the_closed_form_overflows(w):
+    # At U1 = 7.04e-4, valid from hbar_omega_D = 4.5 up, u = w / (2 T_s)
+    # is about 1.2e308 and 2u overflows: E1 is 0 there and T_s is the root.
+    q = MaterialParams(hbar_omega_D=w, U1=7.04e-4)
+    T_s = TAU1_WEAK_COUPLING * w * math.exp(-0.5 / q.U1)
+    assert 2.0 * (0.5 * w / T_s) == math.inf
+    assert solvers._e1(math.inf) == 0.0
+    assert solvers._F_tau1_root(T_s, q, RootSpec().f_tol) == T_s
+    # The quadrature of F overflows in xi / T at this T and has the last word.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+        solve_tau1(q)
+
+
+def test_tau1_at_strong_coupling_leaves_no_newton_step():
+    # |F| <= f_tol alone bounds ln tau1 only to f_tol / (2 tanh u), about
+    # 6.5e-8 at U1 = 653; the closed-form root is within 1e-12.
+    q = MaterialParams(U1=653.0)
+    tau1 = solve_tau1(q)
+    F = F_eval(StatePoint(tau1, 0.0, 0.0), q)
+    assert abs(F / (2.0 * math.tanh(0.5 * q.hbar_omega_D / tau1))) <= 1e-12
+
+
 # ------------------------------------------------------------------- gap
 
 

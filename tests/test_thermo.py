@@ -157,6 +157,20 @@ def test_normal_equals_superconducting_with_zero_gap(p, dbox):
     assert a == b  # identical code path, bit for bit
 
 
+@pytest.mark.parametrize("T, H, name", [
+    (-1.0, 0.0, "T"),
+    (math.nan, 0.0, "T"),
+    (0.03, -1.0, "H"),  # used to return a value
+    (0.03, math.inf, "H"),
+])
+def test_grand_potentials_reject_bad_arguments_by_name(p, T, H, name):
+    dos = dos_linear(1.0, 0.5)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        grand_potential_N(T, H, p, dos)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        grand_potential_S(T, H, p, dos, zero_gap(T, H))
+
+
 def test_omega_batch_keeps_state_order_and_error_keys(p, dbox, monkeypatch):
     # Paired and normal states interleaved: each value and error stays at its
     # state's index, and equals the state's value alone.
@@ -190,7 +204,7 @@ def test_omega_integrates_one_debye_window_per_state(p, dbox, monkeypatch):
     H = [0.004, 0.01, 0.0]
     Y = [1e-3, 0.0, 2e-4]
     calls = []
-    integrate_many_ = thermo.integrate_many
+    integrate_many_ = thermo._integrate_many
     brackets = thermo._brackets
 
     def recorded(f, lo, hi, *args):
@@ -202,7 +216,7 @@ def test_omega_integrates_one_debye_window_per_state(p, dbox, monkeypatch):
         gap, normal = brackets(eta, Y_, inv_T, *args)
         return gap, np.where(inv_T == 1.0 / T[1], np.nan, normal)
 
-    monkeypatch.setattr(thermo, "integrate_many", recorded)
+    monkeypatch.setattr(thermo, "_integrate_many", recorded)
     monkeypatch.setattr(thermo, "_brackets", nan_at)
     _, errors = _omega_many(T, H, Y, p, dos_linear(1.0, 0.5), None)
     [(lo, hi, raw)] = calls
