@@ -267,7 +267,8 @@ def _dJ_all(T, H, Y, xi, p: MaterialParams):
       cosh(z1)(sinh z - z cosh z) + sinh z cosh z - z over z^3.
     * dJ/dH at fixed (T, Y) is the orbital shift channel
       2 eta (a + 2 b H) dJ/dY plus the Zeeman channel
-      mu_B dJ/d(mu_B H) = mu_B (r(z+z1) - r(z-z1)) / (2 T E).
+      mu_B dJ/d(mu_B H) = mu_B (r(z+z1) - r(z-z1)) / (2 T E), and 0 at
+      H = 0, where it integrates to exactly 0.
     """
     eta = np.asarray(xi, dtype=float) + _shift(H, p)
     E = _energy(eta, Y)
@@ -299,7 +300,10 @@ def _dJ_all(T, H, Y, xi, p: MaterialParams):
 
     E_safe = np.where(above_limit, E, 1.0)
     dh = np.where(above_limit, (rp - rm) / (2.0 * T * E_safe), -np.tanh(0.5 * z1) * r1 / (T * T))
-    dH = 2.0 * eta * (p.a + 2.0 * p.b * H) * dY + p.mu_B * dh
+    # At H = 0 the Zeeman channel is 0 and the orbital one, 2 xi a dJ/dY, is
+    # odd on the symmetric window: F_H is exactly 0, which no tolerance
+    # relative to it could certify.
+    dH = np.where(H == 0, 0.0, 2.0 * eta * (p.a + 2.0 * p.b * H) * dY + p.mu_B * dh)
     return np.stack([dT, dH, dY], axis=-1)
 
 
@@ -319,9 +323,10 @@ def F_partials(
     Each integrand is differentiated under the integral sign; the three are
     integrated on shared panels, each to the tolerance F itself gets.  At
     Y = 0 the returned Y-derivative is the one-sided limit (J is analytic in
-    Y, so it equals the interior value).  On the working box all three are
-    negative, which is what makes the implicit functions unique and
-    monotone.
+    Y, so it equals the interior value).  At H = 0, F_H is exactly 0: its
+    integrand is odd on the window there and is not integrated.  On the
+    working box away from H = 0 all three are negative, which is what makes
+    the implicit functions unique and monotone.
     """
     f_T, f_H, f_Y = (float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad))[0])
     return f_T, f_H, f_Y

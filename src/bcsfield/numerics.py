@@ -33,10 +33,13 @@ Xeon with numpy 2.4 and Python 3.11 (best of 15 timings, with a build of
 level 0 that sorted its points alongside): the graded level 0 takes 35,
 52 and 145 us per call at 1, 36 and 244 intervals, against 44, 72 and
 385 us for the sorted build, whose two argsorts were only 2.4 us, 1.5% of
-a 160 us scalar F; the rest were its 50-odd small numpy calls.  One
-lockstep root iteration's own bookkeeping takes 29 us at 1 root, 33 us at
-36 and 47 us at 144, against 40, 43 and 59 us when the state arrays were
-compacted on every iteration.  The level-0 budget (``_level0_budget``)
+a 160 us scalar F; the rest were its 50-odd small numpy calls.  The
+lockstep root loop compacts its state arrays only on a step where a root
+ends, and forms the next step only for the roots left: the bookkeeping of
+a 5-iteration solve (set-up included, a trivial g) takes 208, 248 and
+386 us at 1, 36 and 144 roots, against 267, 294 and 424 us when every
+step was formed before the finished roots left and took each difference
+anew (best of 21 interleaved timings in one process).  The level-0 budget (``_level0_budget``)
 takes 23 us for one state of F (12 panels) and 44 us for 36 (444 panels)
 with one ``np.bincount`` per column and sum, against 24 and 52 us for one
 over (interval, column) bins (medians of 15 interleaved timings in one
@@ -612,7 +615,9 @@ def find_root_decreasing_many(
     """
     if spec is None:
         spec = DEFAULT_ROOT
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
     lo, hi = lo.ravel(), hi.ravel()
     if not np.all(hi > lo):
         i = int(np.argmin(hi > lo))
@@ -655,24 +660,25 @@ def find_root_decreasing_many(
         out[i] = RootResult(float(hi[i]), float(g_hi[i]), 0)
     live &= ~(g_hi > 0.0)
     idx, x1, f1, x2, f2 = idx[live], lo[live], g_lo[live], hi[live], g_hi[live]
-    # The stop width, relative to each bracket; the floor keeps it positive
-    # where x_tol * (hi - lo) underflows.
-    width = x2 - x1
+    # d = x2 - x1.  The stop width, relative to each bracket; the floor keeps
+    # it positive where x_tol * (hi - lo) underflows.
+    d = width = x2 - x1
     tol = np.maximum(spec.x_tol * width, np.spacing(width))
+    half_tol = 0.5 * tol
     # Chandrupatla's state: x1 is the newest point, x2 the bracket end of the
     # opposite sign and x3 the point x1 replaced.  The first step is false
     # position.
     with np.errstate(all="ignore"):
         t = f1 / (f1 - f2)
-    # The widths one and two steps back.
-    past1 = past2 = np.full(idx.size, np.inf)
+    # The width one step back.
+    past1 = np.full(idx.size, np.inf)
     for it in range(1, MAX_ITER + 1):
         if not idx.size:
             break
         # Every step lands at least tol / 2 inside the bracket, so a point
         # that converges from one side closes the bracket around the root.
-        tlim = 0.5 * tol / width
-        x = x1 + np.minimum(np.maximum(t, tlim), 1.0 - tlim) * (x2 - x1)
+        tlim = half_tol / width
+        x = x1 + np.minimum(np.maximum(t, tlim), 1.0 - tlim) * d
         inside = (np.minimum(x1, x2) < x) & (x < np.maximum(x1, x2))
         x = np.where(inside, x, 0.5 * (x1 + x2))
         fx, errors = evaluate(idx, x)
@@ -680,20 +686,11 @@ def find_root_decreasing_many(
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, fx
+        d = x2 - x1
         past1, past2 = width, past1
-        width = np.abs(x2 - x1)
-        # Inverse quadratic interpolation where Chandrupatla's test finds it
-        # monotone on the bracket, else bisection.  A bracket that has not
-        # halved over the last two steps is bisected, so it halves at least
-        # once in every three.
-        with np.errstate(all="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
-                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
-        t = np.where(iqi & (width <= 0.5 * past2), t, 0.5)
-        # The state arrays shrink only on a step where some function ends.
+        width = np.abs(d)
+        # The state arrays shrink only on a step where some function ends,
+        # before the next step is formed.
         stop = (np.abs(fx) <= spec.f_tol) | (width <= tol)
         if errors or stop.any():
             for i in np.flatnonzero(stop):
@@ -701,8 +698,28 @@ def find_root_decreasing_many(
             for j, exc in errors.items():
                 out[idx[j]] = exc
                 stop[j] = True
-            idx, x1, f1, x2, f2, t, width, past1, tol = (
-                v[~stop] for v in (idx, x1, f1, x2, f2, t, width, past1, tol))
+            keep = ~stop
+            idx = idx[keep]
+            if not idx.size:
+                break
+            x1, f1, x2, f2, x3, f3, d, width, past1, past2, tol, half_tol = (
+                v[keep] for v in (x1, f1, x2, f2, x3, f3, d, width, past1, past2, tol, half_tol))
+        # Inverse quadratic interpolation where Chandrupatla's test finds it
+        # monotone on the bracket, else bisection.  A bracket that has not
+        # halved over the last two steps is bisected, so it halves at least
+        # once in every three.  The step is
+        #   f1 / (f2 - f1) * f3 / (f2 - f3)
+        #   + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2),
+        # with its first term taken over f1 - f2 and f3 - f2: the two sign
+        # changes cancel exactly, since f1 != f2 across the bracket, and
+        # where f3 = f2 phi is not finite and the step is not taken.
+        with np.errstate(all="ignore"):
+            df12, df32 = f1 - f2, f3 - f2
+            xi = (x1 - x2) / (x3 - x2)
+            phi = df12 / df32
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = f1 / df12 * f3 / df32 + (x3 - x1) / d * f1 / (f3 - f1) * f2 / df32
+        t = np.where(iqi & (width <= 0.5 * past2), t, 0.5)
     for i in range(idx.size):
         out[idx[i]] = NumericsError(
             f"root iteration limit ({MAX_ITER}) exhausted; "

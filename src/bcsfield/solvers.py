@@ -7,7 +7,7 @@ box, every quantity of interest is the unique root of F along one axis:
                            H = Y = 0;
 * ``solve_hc``          -- critical field at temperature T, root in H^2 at
                            Y = 0;
-* ``solve_gap_squared`` -- squared gap f(T, H), root in Y;
+* ``solve_gap_squared`` -- squared gap f(T, H), root in log1p(Y / (pi T)^2);
 * ``implicit_partials`` -- df/dT and df/dH by implicit differentiation;
 * ``hc_slope_at_tc``    -- closed-form slope of the critical-field curve at
                            the transition temperature.
@@ -127,6 +127,13 @@ _U_QUADRATURE = 3.0
 # s^2 u / sinh(2u) <= s^2 / 2 away (see _F_tau1_root), below 1e-16 once
 # |s| <= 1e-8.
 _CLOSED_STEP = 1e-8
+
+# The gap root is taken in u = log1p(Y / s) with s = (_GAP_SCALE T)^2, and
+# _GAP_SCALE T / sqrt(Y0) is clipped to [_S_CLAMP, 1 / _S_CLAMP] (see
+# _solve_gaps).
+_GAP_SCALE = math.pi
+_S_CLAMP = 2.0**-30
+_Y_LEAST = math.ulp(0.0)
 
 
 @functools.cache
@@ -322,18 +329,40 @@ def solve_gap_squared(
     """Squared gap Y = f(T, H): the unique root of F(T, H, .) on [0, Y0].
 
     If F(T, H, 0) <= 0 (within f_tol) the point is normal: the solution is
-    Y = 0 with the boundary flag set.  The root meets ``|F| <= f_tol``, or
-    its final bracket is at most ``x_tol * Y0`` wide (one spacing of Y0
-    where that underflows): x_tol is relative to the bracket, which at weak
-    coupling is far narrower than 1 (Y0 is about 16 e^(-1/U1)
-    hbar_omega_D^2).  Warns (but proceeds) outside the guarantee zone:
-    mu_B H / T > Z_CAP or T < T0.
+    Y = 0 with the boundary flag set.  The root is taken in
+    u = log1p(Y / s) on [0, log1p(Y0 / s)], with s = (pi T)^2 clamped to
+    [Y0 2^-60, Y0 2^60] (see ``_solve_gaps``), and lies in [0, Y0].  It
+    meets ``|F| <= f_tol``, or its final bracket in u is at most
+    ``x_tol * log1p(Y0 / s)`` wide (one spacing of that where the product
+    underflows): x_tol is relative to the bracket, which at weak coupling is
+    far narrower than 1 (Y0 is about 16 e^(-1/U1) hbar_omega_D^2).  As
+    dY/du = s + Y, that is a width in Y of about
+    ``x_tol * (s + Y) * log1p(Y0 / s)``: ``x_tol * Y0`` where s >> Y0, and
+    ``x_tol * Y * ln(Y0 / s)``, at most 42 x_tol Y, where s << Y.  At the
+    default tolerances a cold zero-field root (T from 1e-4 hbar_omega_D to
+    Delta_0 / 20, U1 = 0.13-0.25) takes 5.2 iterations on average and at
+    most 6, where a root taken in Y itself took 8.  Warns (but proceeds)
+    outside the guarantee zone: mu_B H / T > Z_CAP or T < T0.
     """
     return unwrap(_solve_gaps(T, H, p, dbox, spec, quad)[0])
 
 
 def _solve_gaps(T, H, p, dbox, spec, quad) -> list[GapSolution | NumericsError]:
     """The batch gap solve behind both public functions.
+
+    The root is taken in u = log1p(Y / s) on [0, log1p(Y0 / s)], with
+    g(u) = F(T, H, s expm1(u)) and s = (pi T)^2 clamped to
+    [Y0 2^-60, Y0 2^60].  Where Y >> s (a cold state) F falls like
+    -ln Y, which is linear in u, and where Y << s the map is linear in Y,
+    so inverse quadratic steps fit g in both.  The scale was chosen by
+    measurement: (pi e^-gamma T)^2 takes cold roots in fewer iterations
+    (3.8 against 5.2 on average) but a warm one in more (4.6 against 3.8),
+    and a phase sweep's lockstep in one more.  The clamp keeps s a normal
+    multiple of Y0 at any T: unclamped, Y0 / (pi T)^2 overflows below
+    T = 3e-156 at the default coupling, and (pi T)^2 above T = 4e153.
+    Y is taken as Y0 (ratio expm1(u)) with ratio = s / Y0, at most Y0, and
+    exactly Y0 at the upper end, so that end is the closed-form bracket of
+    the box.
 
     Its warnings point at the line that called the public function.
     """
@@ -344,17 +373,34 @@ def _solve_gaps(T, H, p, dbox, spec, quad) -> list[GapSolution | NumericsError]:
         for t, h, z_i in zip(T[warn].tolist(), H[warn].tolist(), z[warn].tolist()):
             warnings.warn(DomainWarning(message, t, h, z_i, dbox.T0), stacklevel=3)
 
-    def g(Y, idx):
-        return _F_many(T[idx], H[idx], Y, p, quad)
+    # ratio = (pi T)^2 / Y0, with pi T / sqrt(Y0) clipped to [2^-30, 2^30]
+    # before it is squared, so that nothing overflows or underflows.
+    Y0 = dbox.Y0
+    root_Y0 = math.sqrt(Y0)
+    q = _GAP_SCALE / root_Y0 * np.clip(T, _S_CLAMP * root_Y0 / _GAP_SCALE,
+                                       root_Y0 / (_S_CLAMP * _GAP_SCALE))
+    ratio = q * q
+    u_hi = np.log1p(1.0 / ratio)
 
-    roots = find_root_decreasing_many(g, np.zeros(T.size), np.full(T.size, dbox.Y0), spec)
+    def gap_of(u, idx):
+        # The floor min(u, _Y_LEAST) keeps Y > 0 for every u > 0: where Y0
+        # is subnormal, the product underflows to 0 near u = 0.
+        Y = np.clip(Y0 * (ratio[idx] * np.expm1(u)), np.minimum(u, _Y_LEAST), Y0)
+        return np.where(u < u_hi[idx], Y, Y0)
+
+    def g(u, idx):
+        return _F_many(T[idx], H[idx], gap_of(u, idx), p, quad)
+
+    roots = find_root_decreasing_many(g, np.zeros(T.size), u_hi, spec)
+    gaps = gap_of(np.array([r.root if isinstance(r, RootResult) else 0.0 for r in roots]),
+                  np.arange(T.size))
     out: list[GapSolution | NumericsError] = []
-    for t, h, r in zip(T.tolist(), H.tolist(), roots):
+    for t, h, Y, r in zip(T.tolist(), H.tolist(), gaps.tolist(), roots):
         if isinstance(r, RootBelowBracket):
             r = GapSolution(T=t, H=h, Y=0.0, delta=0.0, residual=r.value, iterations=0,
                             boundary=True)
         elif isinstance(r, RootResult):
-            r = GapSolution(T=t, H=h, Y=r.root, delta=math.sqrt(r.root), residual=r.residual,
+            r = GapSolution(T=t, H=h, Y=Y, delta=math.sqrt(Y), residual=r.residual,
                             iterations=r.iterations, boundary=False)
         # BracketError (F(T,H,Y0) > 0) stays an error: Y0 of a box from
         # domain_from is a bracket in closed form, so it signals a corrupted box.

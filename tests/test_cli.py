@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from bcsfield import kernel
 from bcsfield.cli import main
-from bcsfield.solvers import TAU1_WEAK_COUPLING
+from bcsfield.solvers import TAU1_WEAK_COUPLING, DomainWarning
 
 
 def run(capsys, *argv):
@@ -165,6 +166,56 @@ def test_gap_above_critical_field_is_normal(capsys):
     assert parse_kv(out)["state"] == "N"
 
 
+@pytest.mark.parametrize("T", ["1e-200", "1e-160"])
+def test_gap_far_below_the_box_is_the_zero_temperature_gap(capsys, T):
+    # (pi T)^2 underflows here, and Y0 / (pi T)^2 overflows: the root
+    # variable's scale is clamped to Y0 2^-60.
+    with pytest.warns(DomainWarning, match="T0"):
+        code, out, _ = run(capsys, "--json", "gap", "--T", T, "--H", "0")
+    assert code == 0
+    res = json.loads(out)
+    assert res["state"] == "S" and not res["boundary"]
+    assert res["Y"] == pytest.approx(1.0 / math.sinh(0.5 / 0.15) ** 2, rel=1e-9)
+
+
+def test_gap_far_above_tau1_is_normal(capsys):
+    # (pi T)^2 overflows here: the root variable's scale is clamped to Y0 2^60.
+    code, out, _ = run(capsys, "--json", "gap", "--T", "1e200", "--H", "0")
+    assert code == 0
+    res = json.loads(out)
+    assert res["state"] == "N" and res["boundary"] and res["Y"] == 0.0
+
+
+@pytest.fixture()
+def quadratures(monkeypatch):
+    """The number of batched quadratures of F the kernel runs."""
+    count = [0]
+    integrate = kernel._integrate_many
+
+    def counted(*args):
+        count[0] += 1
+        return integrate(*args)
+
+    monkeypatch.setattr(kernel, "_integrate_many", counted)
+    return count
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # tau1 from its closed-form seed, confirmed by one F.
+    (["tc"], 1),
+    (["--set", "U1=0.25", "tc"], 1),
+    # tau1, then both ends of the gap bracket in one F: a normal state.
+    (["gap", "--T", "0.9tau1", "--H", "0.039"], 2),
+    # Cold zero-field roots: 6 and 8 F, where a root taken in Y took 10.
+    (["--set", "U1=0.19", "gap", "--T", "1e-4", "--H", "0"], 6),
+    (["--set", "U1=0.13", "gap", "--T", "0.001", "--H", "0"], 8),
+])
+@pytest.mark.filterwarnings("ignore::bcsfield.solvers.DomainWarning")
+def test_point_query_quadratures(capsys, quadratures, argv, expected):
+    assert run(capsys, "--json", *argv)[0] == 0
+    assert quadratures[0] == expected
+
+
 def test_gap_warns_outside_guarantee_zone(capsys):
     # mu_B H / T = 0.046 / (0.82 * 0.04045) ~ 1.39 > 1.24
     with pytest.warns(Warning, match="guarantee"):
@@ -268,6 +319,14 @@ def test_entropy_fails_where_rounding_takes_the_sliver_width(capsys):
     code, _, err = run(capsys, "--set", "U1=0.01", "entropy", "--T", "0.9tau1")
     assert code == 2
     assert "2 mu_B H_c = 2.836" in err and "hbar_omega_D = 1.0" in err
+
+
+def test_entropy_at_tau1_at_weak_coupling(capsys):
+    # F_H(tau1, 0, 0) is exactly 0, which no tolerance relative to it could
+    # certify: this exited 2 after 42404 panels at depth 33.
+    code, out, _ = run(capsys, "--json", "--set", "U1=0.04", "entropy", "--T", "1tau1")
+    assert code == 0
+    assert json.loads(out)["H_c"] == 0.0
 
 
 def test_entropy_constant_dos_vanishes(capsys):

@@ -19,7 +19,7 @@ from bcsfield import (
     thermal_weight,
 )
 from bcsfield.kernel import F_eval_many, F_partials_many, _dJ_all, _Z_LIMIT, _Z_SERIES
-from bcsfield.solvers import TAU1_WEAK_COUPLING
+from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_tau1
 from conftest import central_diff
 
 
@@ -287,6 +287,21 @@ def test_F_batch_equals_its_states_alone(p, dbox, rng):
 def test_F_partials_of_no_states_have_three_columns(p):
     values, errors = F_partials_many([], [], [], p)
     assert values.shape == (0, 3) and not errors
+
+
+@pytest.mark.parametrize("U1", [0.03, 0.04, 0.05, 0.15])
+def test_F_H_is_exactly_zero_at_zero_field(U1):
+    # At H = 0 the dH integrand is odd on the symmetric window, of size
+    # 1/T^2 near xi = 0: at (tau1, 0, 0) a tolerance relative to the zero
+    # integral was unmet at depth 16 (U1 = 0.03) and 33 (U1 = 0.04).
+    p = MaterialParams(U1=U1)
+    tau1 = solve_tau1(p)
+    T, H, Y = [tau1, 0.9 * tau1, 0.9 * tau1], [0.0, 0.0, 0.1 * tau1], [0.0, 1e-6 * tau1**2, 0.0]
+    values, errors = F_partials_many(T, H, Y, p)
+    assert not errors
+    assert values[:2, 1].tolist() == [0.0, 0.0]
+    assert values[2, 1] < 0.0
+    assert np.all(values[:, [0, 2]] < 0.0)
 
 
 def test_F_where_the_orbital_shift_overflows(p):

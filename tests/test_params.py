@@ -17,7 +17,7 @@ from bcsfield import (
 )
 from bcsfield.kernel import F_eval, StatePoint
 from bcsfield.numerics import QuadSpec, RootSpec
-from bcsfield.params import DomainBox
+from bcsfield.params import DomainBox, check_arg
 from bcsfield.thermo import DosModel
 
 
@@ -232,3 +232,26 @@ def test_load_params_validates(tmp_path):
     cfg.write_text("a = -1.0\n")
     with pytest.raises(ValueError, match="a must be > 0"):
         load_params(cfg)
+
+
+_SCALARS = [0.5, 1e-300, 3, True, False, np.float64(2.0), np.float32(0.25), np.int64(4),
+            np.array(1.5), -0.0, 0.0, 0, np.float64(-0.0), -1e-300, -2, math.nan, math.inf,
+            -math.inf, np.float64(math.nan), np.array(-math.inf)]
+
+
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("value", _SCALARS, ids=repr)
+def test_check_arg_decides_a_scalar_as_the_array_path_does(value, positive):
+    # A 0-d value is decided with math.isfinite and one comparison; the
+    # array path, taken here by a one-element list, is the reference.
+    try:
+        check_arg("x", [value], positive)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            check_arg("x", value, positive)
+        assert str(got.value) == str(exc)
+    else:
+        got = check_arg("x", value, positive)
+        want = np.asarray(value, dtype=float)
+        assert type(got) is np.ndarray and got.dtype == want.dtype and got.shape == ()
+        assert got.tobytes() == want.tobytes()  # -0.0 keeps its sign

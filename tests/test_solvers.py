@@ -238,6 +238,41 @@ def test_gap_meets_f_tol_at_weak_coupling(U1):
         assert gap.residual == F_eval(StatePoint(T, 0.0, gap.Y), p)
 
 
+@pytest.mark.parametrize("U1", [0.13, 0.16, 0.19, 0.22, 0.25])
+def test_cold_gap_roots_take_few_iterations(U1):
+    # F falls like -ln Y at low T, which is linear in the root variable
+    # u = log1p(Y / (pi T)^2); the same roots took 8 iterations in Y.
+    p = MaterialParams(U1=U1)
+    tau1 = solve_tau1(p)
+    box = domain_from(p, 0.8 * tau1, tau1)
+    delta0 = p.hbar_omega_D / math.sinh(0.5 / U1)
+    T = np.geomspace(1e-4 * p.hbar_omega_D, delta0 / 20, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        gaps = solve_gap_squared_many(T, 0.0, p, box)
+    assert max(gap.iterations for gap in gaps) <= 6
+    for gap in gaps:
+        assert abs(gap.residual) <= RootSpec().f_tol
+        # The thermal correction is about 2e-9 at T = Delta0 / 20.
+        assert gap.Y == pytest.approx(delta0**2, rel=1e-8)
+
+
+@pytest.mark.parametrize("T", [1e-300, 1e-200, 1e-160, 1e-100, 1e-4, 0.9, 1e100, 1e200])
+def test_gap_root_lies_in_the_box_at_any_temperature(p, dbox, T):
+    # The scale (pi T)^2 of the root variable is clamped to
+    # [Y0 2^-60, Y0 2^60]: unclamped, Y0 / (pi T)^2 or (pi T)^2 leaves double
+    # range at the ends of this list.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        gap = solve_gap_squared(T, 0.0, p, dbox)
+    assert 0.0 <= gap.Y <= dbox.Y0
+    assert gap.residual == F_eval(StatePoint(T, 0.0, gap.Y), p)
+    if T < 0.5 * dbox.tau1:
+        assert not gap.boundary and abs(gap.residual) <= RootSpec().f_tol
+    else:
+        assert gap.boundary and gap.Y == 0.0
+
+
 def test_gap_at_a_subnormal_Y0_stops_at_its_resolution():
     # Y0 is subnormal here (2e-322 at U1 = 1.345e-3, 3e-314 at 1.38e-3) and
     # x_tol * Y0 underflows to 0, so the width stop is one ulp of Y0.  F is
