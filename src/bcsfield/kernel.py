@@ -18,13 +18,18 @@ argument (and arrays of states that broadcast against it), and is
 overflow-safe for arbitrarily small temperatures: the thermal weight is
 written with no positive exponent that can overflow, the derivatives in
 Fermi-function forms, and E is one ``hypot`` that neither underflows nor
-cancels.  ``F_eval_many`` and ``F_partials_many``
-integrate a whole batch of states in one breadth-first quadrature; the
-scalar ``F_eval`` and ``F_partials`` are their batch-of-one cases.
+cancels.  Of F's partials only F_Y and the Zeeman part of F_H are
+integrated; F_T and the orbital part of F_H follow from J at the window
+ends, by Euler's relation for J(lam T, lam eta, lam^2 Y, lam mu_B H) = J / lam
+and because J depends on xi only through eta = xi + a H + b H^2.
+``F_eval_many`` and ``F_partials_many`` integrate a whole batch of states
+in one breadth-first quadrature; the scalar ``F_eval`` and ``F_partials``
+are their batch-of-one cases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +53,14 @@ __all__ = [
     "F_partials_many",
 ]
 
-# The smallest normal double.  J raises E/T to it, where its weight is
-# exactly the E -> 0 limit; thermo raises E to it to keep 0/0 out of its brackets.
+# The smallest normal double.  J and dJ/d(mu_B H) raise E/T to it, where they
+# are exactly their E -> 0 limits; thermo raises E to it to keep 0/0 out of
+# its brackets.
 _TINY = np.finfo(float).tiny
 
 # E/T below which the Y-derivative of J switches to its cancellation-free
-# series, and below which the T- and Zeeman-derivatives switch to their
-# exact E -> 0 limits.
+# series.
 _Z_SERIES = 0.1
-_Z_LIMIT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -252,41 +256,27 @@ def _r_r_cosh(z, z1: float):
 
 
 def _dJ_all(T, H, Y, xi, p: MaterialParams):
-    """Pointwise (dJ/dT, dJ/dH, dJ/dY) on one trailing axis.
+    """Pointwise (dJ/dY, dJ/dh), h = mu_B H, on one trailing axis.
 
-    With z = E/T, z1 = mu_B H / T and r(u) = 1/(1 + cosh u) = 2 fermi_delta(u),
+    With z = E/T, z1 = h/T and r(u) = 1/(1 + cosh u) = 2 fermi_delta(u),
     which stays bounded for any argument:
 
-    * dJ/dT is the exact rewriting of
-      -(1 + cosh z cosh z1 - z1 sinh z1 sinh(z)/z) / (T^2 (cosh z + cosh z1)^2)
-      in r(z + z1), r(z - z1), with its E -> 0 limit below z = _Z_LIMIT.
     * dJ/dY = (r(z+z1) + r(z-z1)) / (4 T E^2) - w / (2 E^3).  The two terms
       cancel to O(E^3) as E -> 0, so below z = _Z_SERIES the equivalent
       series form -(A(z) r(z+z1) r(z-z1) - B(z) r r cosh(z1)) / (2 T^3) is
       used, whose coefficients come from the Taylor expansion of
       cosh(z1)(sinh z - z cosh z) + sinh z cosh z - z over z^3.
-    * dJ/dH at fixed (T, Y) is the orbital shift channel
-      2 eta (a + 2 b H) dJ/dY plus the Zeeman channel
-      mu_B dJ/d(mu_B H) = mu_B (r(z+z1) - r(z-z1)) / (2 T E), and 0 at
-      H = 0, where it integrates to exactly 0.
+    * dJ/dh = (r(z+z1) - r(z-z1)) / (2 T E) = -sinh z sinh z1 r(z+z1) r(z-z1) / (T E),
+      taken as -expm1(-2z) expm1(-2 z1) r(z-z1) / (2 T^2 z (1 + e^(-z-z1))^2):
+      nothing cancels or overflows, and with z raised to the smallest
+      normal double, as in ``integrand_J``, E = 0 gives the limit
+      -tanh(z1/2) r(z1) / T^2.  At H = 0 it is exactly 0.
     """
-    eta = np.asarray(xi, dtype=float) + _shift(H, p)
-    E = _energy(eta, Y)
+    E = _energy(np.asarray(xi, dtype=float) + _shift(H, p), Y)
     z = E / T
     z1 = p.mu_B * H / T
     rp = 2.0 * fermi_delta(z + z1)
     rm = 2.0 * fermi_delta(z - z1)
-    r1 = 2.0 * fermi_delta(z1)
-    above_limit = z > _Z_LIMIT
-
-    z_safe = np.where(above_limit, z, 1.0)
-    bracket = (
-        rp * rm
-        + 0.5 * ((1.0 - rp) * rm + (1.0 - rm) * rp)
-        - (z1 / z_safe) * 0.5 * (rm - rp)
-    )
-    limit = r1 * (1.0 - z1 * np.tanh(0.5 * z1))
-    dT = -np.where(above_limit, bracket, limit) / (T * T)
 
     big = z >= _Z_SERIES
     E_safe = np.where(big, E, 1.0)
@@ -298,21 +288,34 @@ def _dJ_all(T, H, Y, xi, p: MaterialParams):
     series = -(series_a * rp * rm - series_b * _r_r_cosh(z, z1)) / (2.0 * T**3)
     dY = np.where(big, direct, series)
 
-    E_safe = np.where(above_limit, E, 1.0)
-    dh = np.where(above_limit, (rp - rm) / (2.0 * T * E_safe), -np.tanh(0.5 * z1) * r1 / (T * T))
-    # At H = 0 the Zeeman channel is 0 and the orbital one, 2 xi a dJ/dY, is
-    # odd on the symmetric window: F_H is exactly 0, which no tolerance
-    # relative to it could certify.
-    dH = np.where(H == 0, 0.0, 2.0 * eta * (p.a + 2.0 * p.b * H) * dY + p.mu_B * dh)
-    return np.stack([dT, dH, dY], axis=-1)
+    z = np.maximum(z, _TINY)
+    dh = np.expm1(-2.0 * z) / z * np.expm1(-2.0 * z1) * rm
+    dh /= -2.0 * T * T * (1.0 + np.exp(-z - z1)) ** 2
+    return np.stack([dY, dh], axis=-1)
 
 
 def F_partials_many(
     T, H, Y, p: MaterialParams, quad: QuadSpec | None = None
 ) -> tuple[np.ndarray, dict[int, QuadratureError]]:
-    """(F_T, F_H, F_Y) at a batch of states: ``(values of shape (m, 3), errors)``."""
-    values, errors = _integrate_states(_dJ_all, *_states(T, H, Y), p, quad)
-    return values.reshape(-1, 3), errors
+    """(F_T, F_H, F_Y) at a batch of states: ``(values of shape (m, 3), errors)``.
+
+    A state fails, as in :func:`F_eval_many`, where its quadrature fails or
+    where its end values J+- or boundary terms are not finite (an orbital
+    shift that overflows).
+    """
+    T, H, Y = _states(T, H, Y)
+    integrals, errors = _integrate_states(_dJ_all, T, H, Y, p, quad)
+    F_Y, G_h = integrals.reshape(-1, 2).T
+    w, s = p.hbar_omega_D, _shift(H, p)
+    J_minus, J_plus = integrand_J(T, H, Y, np.array([[-w], [w]]), p)
+    F_H = (p.a + 2.0 * p.b * H) * (J_plus - J_minus) + p.mu_B * G_h
+    F_T = (-((w + s) * J_plus + (w - s) * J_minus) - 2.0 * Y * F_Y - p.mu_B * H * G_h) / T
+    values = np.column_stack([F_T, F_H, F_Y])
+    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)):
+        msg = f"F's partials not finite at (T, H, Y) = {(float(T[i]), float(H[i]), float(Y[i]))}"
+        errors.setdefault(int(i), QuadratureError(msg, -w, w, math.nan))
+    values[list(errors)] = np.nan
+    return values, errors
 
 
 def F_partials(
@@ -320,13 +323,28 @@ def F_partials(
 ) -> tuple[float, float, float]:
     """Analytic partial derivatives (F_T, F_H, F_Y).
 
-    Each integrand is differentiated under the integral sign; the three are
-    integrated on shared panels, each to the tolerance F itself gets.  At
-    Y = 0 the returned Y-derivative is the one-sided limit (J is analytic in
-    Y, so it equals the interior value).  At H = 0, F_H is exactly 0: its
-    integrand is odd on the window there and is not integrated.  On the
-    working box away from H = 0 all three are negative, which is what makes
-    the implicit functions unique and monotone.
+    Only F_Y and G_h = integral of dJ/dh (h = mu_B H) are integrated, on
+    shared panels, each to the tolerance F itself gets.  The other two
+    follow from J at the window ends, J+- = J at xi = +-w (w =
+    hbar_omega_D), and two exact identities.  J depends on xi only through
+    eta = xi + s, s = a H + b H^2, so the orbital part of F_H is a boundary
+    term:
+
+        F_H = (a + 2 b H)(J+ - J-) + mu_B G_h.
+
+    J(lam T, lam eta, lam^2 Y, lam h) = J / lam, so Euler's relation
+    T J_T + eta J_eta + 2 Y J_Y + h J_h = -J integrated by parts gives
+
+        T F_T = -[(w + s) J+ + (w - s) J-] - 2 Y F_Y - h G_h.
+
+    Its terms are of order 1, so F_T is accurate to their rounding and
+    quadrature error over T; where F_T is exponentially small, at T well
+    below the gap, its relative digits are lost.
+
+    At Y = 0 the returned Y-derivative is the one-sided limit (J is
+    analytic in Y, so it equals the interior value).  At H = 0, J+ = J-
+    and dJ/dh = 0 exactly, so F_H is exactly 0.  On the working box away
+    from H = 0 all three are negative, which is what makes the implicit
+    functions unique and monotone.
     """
-    f_T, f_H, f_Y = (float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad))[0])
-    return f_T, f_H, f_Y
+    return tuple(float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad))[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -18,7 +19,7 @@ from bcsfield import (
     quasiparticle_energy,
     thermal_weight,
 )
-from bcsfield.kernel import F_eval_many, F_partials_many, _dJ_all, _Z_LIMIT, _Z_SERIES
+from bcsfield.kernel import F_eval_many, F_partials_many, _dJ_all, _Z_SERIES
 from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_tau1
 from conftest import central_diff
 
@@ -27,7 +28,7 @@ def _dJ_column(k):
     return lambda T, H, Y, xi, p: _dJ_all(T, H, Y, xi, p)[..., k]
 
 
-_dJ_dT, _dJ_dH, _dJ_dY = (_dJ_column(k) for k in range(3))
+_dJ_dY, _dJ_dh = (_dJ_column(k) for k in range(2))
 
 
 def interior_points(dbox, rng, n, h_lo=1e-4):
@@ -291,9 +292,10 @@ def test_F_partials_of_no_states_have_three_columns(p):
 
 @pytest.mark.parametrize("U1", [0.03, 0.04, 0.05, 0.15])
 def test_F_H_is_exactly_zero_at_zero_field(U1):
-    # At H = 0 the dH integrand is odd on the symmetric window, of size
-    # 1/T^2 near xi = 0: at (tau1, 0, 0) a tolerance relative to the zero
-    # integral was unmet at depth 16 (U1 = 0.03) and 33 (U1 = 0.04).
+    # At H = 0, J is the same at both window ends and dJ/dh is 0, so F_H is
+    # exactly 0.  An integrand for all of F_H is odd there and of size 1/T^2
+    # near xi = 0: at (tau1, 0, 0) a tolerance relative to the zero integral
+    # was unmet at depth 16 (U1 = 0.03) and 33 (U1 = 0.04).
     p = MaterialParams(U1=U1)
     tau1 = solve_tau1(p)
     T, H, Y = [tau1, 0.9 * tau1, 0.9 * tau1], [0.0, 0.0, 0.1 * tau1], [0.0, 1e-6 * tau1**2, 0.0]
@@ -349,15 +351,38 @@ def test_partial_signs_on_the_box(p, dbox, rng):
 
 
 def test_partials_match_central_differences(p, dbox, rng):
-    # Finite-difference oracle for all three analytic partials.
-    for s in interior_points(dbox, rng, 100, h_lo=1e-3):
+    # Finite-difference oracle for all three analytic partials.  The two
+    # small fields at Y = 0 once failed to converge: the odd orbital part
+    # of the dH integrand, of size 1/T^2, dwarfed F_H there.
+    tau1 = dbox.tau1
+    small_fields = [StatePoint(0.9 * tau1, 1e-3 * tau1, 0.0), StatePoint(0.9 * tau1, 1e-4 * tau1, 0.0)]
+    for s in interior_points(dbox, rng, 100, h_lo=1e-3) + small_fields:
         f_T, f_H, f_Y = F_partials(s, p)
         c_T = central_diff(lambda t: F_eval(StatePoint(t, s.H, s.Y), p), s.T, 1e-6 * s.T)
         c_H = central_diff(lambda h: F_eval(StatePoint(s.T, h, s.Y), p), s.H, 1e-7)
-        c_Y = central_diff(lambda y: F_eval(StatePoint(s.T, s.H, y), p), s.Y, 1e-5 * s.Y)
         assert f_T == pytest.approx(c_T, rel=1e-6)
         assert f_H == pytest.approx(c_H, rel=1e-6)
-        assert f_Y == pytest.approx(c_Y, rel=1e-6)
+        if s.Y > 0.0:  # Y = 0 is one-sided: test_partial_Y_one_sided_at_zero_gap
+            c_Y = central_diff(lambda y: F_eval(StatePoint(s.T, s.H, y), p), s.Y, 1e-5 * s.Y)
+            assert f_Y == pytest.approx(c_Y, rel=1e-6)
+
+
+def test_partials_match_a_tight_reference(p, dbox, rng):
+    # F_T and F_H come from boundary terms and the two integrated channels;
+    # on the box they keep the digits of a 1e-13 quadrature of the same
+    # formulas.  Every 7th state has H = 0 and every 5th Y = 0.
+    T, H, Y = rng.uniform([dbox.T0, 0.0, 0.0], [dbox.tau1, dbox.H_max, dbox.Y0], (40, 3)).T
+    H[::7] = 0.0
+    Y[::5] = 0.0
+    values, errors = F_partials_many(T, H, Y, p)
+    ref, _ = F_partials_many(T, H, Y, p, QuadSpec(1e-13, 1e-13))
+    assert not errors
+    ok = np.isfinite(ref).all(axis=1)
+    assert ok.sum() >= 35
+    rel = np.abs(values[ok] - ref[ok]) / np.abs(ref[ok]).clip(1e-300)
+    assert rel[:, 0].max() <= 1e-14
+    assert rel[H[ok] > 0, 1].max() <= 5e-14
+    assert values[H == 0, 1].tolist() == [0.0] * int((H == 0).sum())
 
 
 def test_partial_Y_one_sided_at_zero_gap(p):
@@ -372,12 +397,12 @@ def test_partial_Y_one_sided_at_zero_gap(p):
 
 def pointwise_cases(p):
     # (T, H, Y, xi) probes spanning every stability branch:
-    # z below/above the series and limit cuts, large z, large Zeeman.
+    # z near 0, below/above the series cut, large z, large Zeeman.
     shift = lambda H: p.a * H + p.b * H * H
     cases = []
     for T, H in [(0.03, 0.02), (0.003, 0.02), (1e-4, 0.05)]:
         s = shift(H)
-        for z in (0.3 * _Z_LIMIT, 3 * _Z_LIMIT, 0.5 * _Z_SERIES, 2 * _Z_SERIES, 5.0, 80.0):
+        for z in (3e-6, 3e-5, 0.5 * _Z_SERIES, 2 * _Z_SERIES, 5.0, 80.0):
             cases.append((T, H, 0.0, z * T - s))
         cases.append((T, H, 4e-4, 0.1 - s))
     return cases
@@ -385,32 +410,45 @@ def pointwise_cases(p):
 
 @pytest.mark.parametrize("which", ["T", "H", "Y"])
 def test_pointwise_derivatives_match_fd(p, which):
-    # The analytic integrand derivatives against central differences of J,
-    # including points straddling the internal branch switches.  The FD
-    # oracle cancels J's leading digits, so derivatives exponentially
-    # smaller than J's own scale sit below its noise floor.
-    deriv = {"T": _dJ_dT, "H": _dJ_dH, "Y": _dJ_dY}[which]
+    # The integrated channels against central differences of J, including
+    # points straddling the internal branch switches.  "H" checks the Zeeman
+    # channel dJ/dh, h = mu_B H, by differences in mu_B; "T" checks Euler's
+    # relation T J_T + eta J_eta + 2 Y J_Y + h J_h = -J, from which F_T is
+    # taken, with J_T and J_eta = dJ/dxi from differences.  The FD oracle
+    # cancels J's leading digits, so derivatives exponentially smaller than
+    # J's own scale sit below its noise floor.
     for T, H, Y, xi in pointwise_cases(p):
-        args = {"T": T, "H": H, "Y": Y}
-        step = {"T": 1e-6 * T, "H": 1e-8, "Y": max(1e-4 * T * T, 1e-6 * Y)}[which]
         j_val = integrand_J(T, H, Y, xi, p)
         e_val = max(quasiparticle_energy(xi, H, Y, p), T)
-        floor = 1e-9 * j_val / {"T": T, "H": T / 2.0, "Y": e_val * e_val}[which]
-
-        def J_of(v):
-            a = dict(args)
-            a[which] = v
-            return integrand_J(a["T"], a["H"], a["Y"], xi, p)
-
-        analytic = deriv(T, H, Y, xi, p)
-        if which == "Y" and Y == 0.0:
-            # one-sided at the boundary, Richardson-extrapolated
-            j0 = J_of(0.0)
-            fd = 2.0 * (J_of(0.5 * step) - j0) / (0.5 * step) - (J_of(step) - j0) / step
-            assert analytic == pytest.approx(fd, rel=5e-4, abs=floor)
+        if which == "T":
+            eta = xi + p.a * H + p.b * H * H
+            terms = [
+                T * central_diff(lambda t: integrand_J(t, H, Y, xi, p), T, 1e-7 * T),
+                eta * central_diff(lambda x: integrand_J(T, H, Y, x, p), xi, 1e-7 * e_val),
+                2.0 * Y * _dJ_dY(T, H, Y, xi, p),
+                p.mu_B * H * _dJ_dh(T, H, Y, xi, p),
+            ]
+            assert sum(terms) == pytest.approx(-j_val, rel=1e-6, abs=1e-9 * j_val)
+        elif which == "H":
+            fd = central_diff(
+                lambda m: integrand_J(T, H, Y, xi, dataclasses.replace(p, mu_B=m)), p.mu_B, 1e-8 / H
+            )
+            assert _dJ_dh(T, H, Y, xi, p) == pytest.approx(fd / H, rel=1e-5, abs=2e-9 * j_val / T)
         else:
-            fd = central_diff(J_of, args[which], step)
-            assert analytic == pytest.approx(fd, rel=1e-5, abs=floor)
+            step = max(1e-4 * T * T, 1e-6 * Y)
+            floor = 1e-9 * j_val / (e_val * e_val)
+
+            def J_of(y):
+                return integrand_J(T, H, y, xi, p)
+
+            analytic = _dJ_dY(T, H, Y, xi, p)
+            if Y == 0.0:
+                # one-sided at the boundary, Richardson-extrapolated
+                j0 = J_of(0.0)
+                fd = 2.0 * (J_of(0.5 * step) - j0) / (0.5 * step) - (J_of(step) - j0) / step
+                assert analytic == pytest.approx(fd, rel=5e-4, abs=floor)
+            else:
+                assert analytic == pytest.approx(central_diff(J_of, Y, step), rel=1e-5, abs=floor)
 
 
 def test_series_and_direct_branches_agree(p):
