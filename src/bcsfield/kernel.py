@@ -18,10 +18,9 @@ argument (and arrays of states that broadcast against it), and is
 overflow-safe for arbitrarily small temperatures: the thermal weight is
 written with no positive exponent that can overflow, the derivatives in
 Fermi-function forms, and E is one ``hypot`` that neither underflows nor
-cancels.  Of F's partials only F_Y and the Zeeman part of F_H are
-integrated; F_T and the orbital part of F_H follow from J at the window
-ends, by Euler's relation for J(lam T, lam eta, lam^2 Y, lam mu_B H) = J / lam
-and because J depends on xi only through eta = xi + a H + b H^2.
+cancels.  F_T, F_Y and the Zeeman part of F_H are integrated; the
+orbital part of F_H is J at the window ends, because J depends on xi only
+through eta = xi + a H + b H^2.
 ``F_eval_many`` and ``F_partials_many`` integrate a whole batch of states
 in one breadth-first quadrature; the scalar ``F_eval`` and ``F_partials``
 are their batch-of-one cases.
@@ -29,7 +28,6 @@ are their batch-of-one cases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,21 +254,25 @@ def _r_r_cosh(z, z1: float):
 
 
 def _dJ_all(T, H, Y, xi, p: MaterialParams):
-    """Pointwise (dJ/dY, dJ/dh), h = mu_B H, on one trailing axis.
+    """Pointwise (dJ/dT, dJ/dh, dJ/dY), h = mu_B H, on one trailing axis.
 
     With z = E/T, z1 = h/T and r(u) = 1/(1 + cosh u) = 2 fermi_delta(u),
     which stays bounded for any argument:
 
-    * dJ/dY = (r(z+z1) + r(z-z1)) / (4 T E^2) - w / (2 E^3).  The two terms
-      cancel to O(E^3) as E -> 0, so below z = _Z_SERIES the equivalent
-      series form -(A(z) r(z+z1) r(z-z1) - B(z) r r cosh(z1)) / (2 T^3) is
-      used, whose coefficients come from the Taylor expansion of
-      cosh(z1)(sinh z - z cosh z) + sinh z cosh z - z over z^3.
     * dJ/dh = (r(z+z1) - r(z-z1)) / (2 T E) = -sinh z sinh z1 r(z+z1) r(z-z1) / (T E),
       taken as -expm1(-2z) expm1(-2 z1) r(z-z1) / (2 T^2 z (1 + e^(-z-z1))^2):
       nothing cancels or overflows, and with z raised to the smallest
       normal double, as in ``integrand_J``, E = 0 gives the limit
       -tanh(z1/2) r(z1) / T^2.  At H = 0 it is exactly 0.
+    * dJ/dT = -(r(z+z1) + r(z-z1)) / (2 T^2) - z1 dJ/dh.  J is
+      homogeneous of degree -1 in (T, E, h), so T J_T + h J_h = -d(E J)/dE,
+      and E J = w(z) holds no 1/E: the zero-temperature part of J, which
+      the identity would otherwise cancel, never enters.
+    * dJ/dY = (r(z+z1) + r(z-z1)) / (4 T E^2) - w / (2 E^3).  The two terms
+      cancel to O(E^3) as E -> 0, so below z = _Z_SERIES the equivalent
+      series form -(A(z) r(z+z1) r(z-z1) - B(z) r r cosh(z1)) / (2 T^3) is
+      used, whose coefficients come from the Taylor expansion of
+      cosh(z1)(sinh z - z cosh z) + sinh z cosh z - z over z^3.
     """
     E = _energy(np.asarray(xi, dtype=float) + _shift(H, p), Y)
     z = E / T
@@ -291,7 +293,8 @@ def _dJ_all(T, H, Y, xi, p: MaterialParams):
     z = np.maximum(z, _TINY)
     dh = np.expm1(-2.0 * z) / z * np.expm1(-2.0 * z1) * rm
     dh /= -2.0 * T * T * (1.0 + np.exp(-z - z1)) ** 2
-    return np.stack([dY, dh], axis=-1)
+    dT = -(rp + rm) / (2.0 * T * T) - z1 * dh
+    return np.stack([dT, dh, dY], axis=-1)
 
 
 def F_partials_many(
@@ -299,21 +302,20 @@ def F_partials_many(
 ) -> tuple[np.ndarray, dict[int, QuadratureError]]:
     """(F_T, F_H, F_Y) at a batch of states: ``(values of shape (m, 3), errors)``.
 
-    A state fails, as in :func:`F_eval_many`, where its quadrature fails or
-    where its end values J+- or boundary terms are not finite (an orbital
-    shift that overflows).
+    A state fails, as in :func:`F_eval_many`, where its quadrature fails,
+    and also where its orbital shift a H + b H^2 overflows: every E is inf
+    there and the partials would be a meaningless 0.
     """
     T, H, Y = _states(T, H, Y)
     integrals, errors = _integrate_states(_dJ_all, T, H, Y, p, quad)
-    F_Y, G_h = integrals.reshape(-1, 2).T
-    w, s = p.hbar_omega_D, _shift(H, p)
+    F_T, G_h, F_Y = integrals.reshape(-1, 3).T
+    w = p.hbar_omega_D
     J_minus, J_plus = integrand_J(T, H, Y, np.array([[-w], [w]]), p)
     F_H = (p.a + 2.0 * p.b * H) * (J_plus - J_minus) + p.mu_B * G_h
-    F_T = (-((w + s) * J_plus + (w - s) * J_minus) - 2.0 * Y * F_Y - p.mu_B * H * G_h) / T
     values = np.column_stack([F_T, F_H, F_Y])
-    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)):
-        msg = f"F's partials not finite at (T, H, Y) = {(float(T[i]), float(H[i]), float(Y[i]))}"
-        errors.setdefault(int(i), QuadratureError(msg, -w, w, math.nan))
+    for i in np.flatnonzero(~np.isfinite(_shift(H, p))):
+        msg = f"orbital shift a H + b H^2 overflows at H = {float(H[i])}"
+        errors.setdefault(int(i), QuadratureError(msg, -w, w, np.nan))
     values[list(errors)] = np.nan
     return values, errors
 
@@ -323,23 +325,12 @@ def F_partials(
 ) -> tuple[float, float, float]:
     """Analytic partial derivatives (F_T, F_H, F_Y).
 
-    Only F_Y and G_h = integral of dJ/dh (h = mu_B H) are integrated, on
-    shared panels, each to the tolerance F itself gets.  The other two
-    follow from J at the window ends, J+- = J at xi = +-w (w =
-    hbar_omega_D), and two exact identities.  J depends on xi only through
-    eta = xi + s, s = a H + b H^2, so the orbital part of F_H is a boundary
-    term:
+    F_T, F_Y and G_h = integral of dJ/dh (h = mu_B H) are integrated on
+    shared panels, each to the tolerance F itself gets.  J depends on xi
+    only through eta = xi + s, s = a H + b H^2, so the orbital part of F_H
+    is a boundary term, with J+- = J at xi = +-hbar_omega_D:
 
         F_H = (a + 2 b H)(J+ - J-) + mu_B G_h.
-
-    J(lam T, lam eta, lam^2 Y, lam h) = J / lam, so Euler's relation
-    T J_T + eta J_eta + 2 Y J_Y + h J_h = -J integrated by parts gives
-
-        T F_T = -[(w + s) J+ + (w - s) J-] - 2 Y F_Y - h G_h.
-
-    Its terms are of order 1, so F_T is accurate to their rounding and
-    quadrature error over T; where F_T is exponentially small, at T well
-    below the gap, its relative digits are lost.
 
     At Y = 0 the returned Y-derivative is the one-sided limit (J is
     analytic in Y, so it equals the interior value).  At H = 0, J+ = J-
@@ -347,4 +338,5 @@ def F_partials(
     from H = 0 all three are negative, which is what makes the implicit
     functions unique and monotone.
     """
-    return tuple(float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad))[0])
+    f_T, f_H, f_Y = (float(v) for v in first(*F_partials_many(s.T, s.H, s.Y, p, quad))[0])
+    return f_T, f_H, f_Y

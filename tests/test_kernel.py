@@ -28,7 +28,7 @@ def _dJ_column(k):
     return lambda T, H, Y, xi, p: _dJ_all(T, H, Y, xi, p)[..., k]
 
 
-_dJ_dY, _dJ_dh = (_dJ_column(k) for k in range(2))
+_dJ_dT, _dJ_dh, _dJ_dY = (_dJ_column(k) for k in range(3))
 
 
 def interior_points(dbox, rng, n, h_lo=1e-4):
@@ -368,9 +368,8 @@ def test_partials_match_central_differences(p, dbox, rng):
 
 
 def test_partials_match_a_tight_reference(p, dbox, rng):
-    # F_T and F_H come from boundary terms and the two integrated channels;
-    # on the box they keep the digits of a 1e-13 quadrature of the same
-    # formulas.  Every 7th state has H = 0 and every 5th Y = 0.
+    # On the box the default tolerance keeps F_T and F_H to the digits of a
+    # 1e-13 quadrature.  Every 7th state has H = 0 and every 5th Y = 0.
     T, H, Y = rng.uniform([dbox.T0, 0.0, 0.0], [dbox.tau1, dbox.H_max, dbox.Y0], (40, 3)).T
     H[::7] = 0.0
     Y[::5] = 0.0
@@ -383,6 +382,24 @@ def test_partials_match_a_tight_reference(p, dbox, rng):
     assert rel[:, 0].max() <= 1e-14
     assert rel[H[ok] > 0, 1].max() <= 5e-14
     assert values[H == 0, 1].tolist() == [0.0] * int((H == 0).sum())
+
+
+@pytest.mark.parametrize(
+    "frac, f_T, f_H",
+    [
+        (0.05, -1.0899805355425524e-9, -0.0060165314590255806),
+        (0.02, -3.1457408240012093e-28, -0.0060165314225317565),
+    ],
+)
+def test_partials_at_cold_gapped_states(p, dbox, frac, f_T, f_H):
+    # At (frac tau1, 0.3 H_max, Y0/4) F_T is exponentially small, below any
+    # finite-difference oracle's reach.  T F_T from Euler's relation for J's
+    # scaling subtracts terms of order 1 and was 5.5e-5 off at 0.05 tau1 and
+    # of the wrong sign at 0.02 tau1.  References: closed-form dJ/dT and
+    # dJ/dH at fixed (T, Y) integrated with mpmath at 40 digits.
+    values, errors = F_partials_many(frac * dbox.tau1, 0.3 * dbox.H_max, dbox.Y0 / 4, p)
+    assert not errors
+    assert values[0, :2] == pytest.approx([f_T, f_H], rel=1e-9)
 
 
 def test_partial_Y_one_sided_at_zero_gap(p):
@@ -412,43 +429,31 @@ def pointwise_cases(p):
 def test_pointwise_derivatives_match_fd(p, which):
     # The integrated channels against central differences of J, including
     # points straddling the internal branch switches.  "H" checks the Zeeman
-    # channel dJ/dh, h = mu_B H, by differences in mu_B; "T" checks Euler's
-    # relation T J_T + eta J_eta + 2 Y J_Y + h J_h = -J, from which F_T is
-    # taken, with J_T and J_eta = dJ/dxi from differences.  The FD oracle
+    # channel dJ/dh, h = mu_B H, by differences in mu_B.  The FD oracle
     # cancels J's leading digits, so derivatives exponentially smaller than
     # J's own scale sit below its noise floor.
+    deriv = {"T": _dJ_dT, "H": _dJ_dh, "Y": _dJ_dY}[which]
     for T, H, Y, xi in pointwise_cases(p):
+        args = {"T": T, "H": p.mu_B * H, "Y": Y}
+        step = {"T": 1e-6 * T, "H": 1e-8, "Y": max(1e-4 * T * T, 1e-6 * Y)}[which]
         j_val = integrand_J(T, H, Y, xi, p)
         e_val = max(quasiparticle_energy(xi, H, Y, p), T)
-        if which == "T":
-            eta = xi + p.a * H + p.b * H * H
-            terms = [
-                T * central_diff(lambda t: integrand_J(t, H, Y, xi, p), T, 1e-7 * T),
-                eta * central_diff(lambda x: integrand_J(T, H, Y, x, p), xi, 1e-7 * e_val),
-                2.0 * Y * _dJ_dY(T, H, Y, xi, p),
-                p.mu_B * H * _dJ_dh(T, H, Y, xi, p),
-            ]
-            assert sum(terms) == pytest.approx(-j_val, rel=1e-6, abs=1e-9 * j_val)
-        elif which == "H":
-            fd = central_diff(
-                lambda m: integrand_J(T, H, Y, xi, dataclasses.replace(p, mu_B=m)), p.mu_B, 1e-8 / H
-            )
-            assert _dJ_dh(T, H, Y, xi, p) == pytest.approx(fd / H, rel=1e-5, abs=2e-9 * j_val / T)
+        floor = 1e-9 * j_val / {"T": T, "H": T / 2.0, "Y": e_val * e_val}[which]
+
+        def J_of(v):
+            a = dict(args)
+            a[which] = v
+            return integrand_J(a["T"], H, a["Y"], xi, dataclasses.replace(p, mu_B=a["H"] / H))
+
+        analytic = deriv(T, H, Y, xi, p)
+        if which == "Y" and Y == 0.0:
+            # one-sided at the boundary, Richardson-extrapolated
+            j0 = J_of(0.0)
+            fd = 2.0 * (J_of(0.5 * step) - j0) / (0.5 * step) - (J_of(step) - j0) / step
+            assert analytic == pytest.approx(fd, rel=5e-4, abs=floor)
         else:
-            step = max(1e-4 * T * T, 1e-6 * Y)
-            floor = 1e-9 * j_val / (e_val * e_val)
-
-            def J_of(y):
-                return integrand_J(T, H, y, xi, p)
-
-            analytic = _dJ_dY(T, H, Y, xi, p)
-            if Y == 0.0:
-                # one-sided at the boundary, Richardson-extrapolated
-                j0 = J_of(0.0)
-                fd = 2.0 * (J_of(0.5 * step) - j0) / (0.5 * step) - (J_of(step) - j0) / step
-                assert analytic == pytest.approx(fd, rel=5e-4, abs=floor)
-            else:
-                assert analytic == pytest.approx(central_diff(J_of, Y, step), rel=1e-5, abs=floor)
+            fd = central_diff(J_of, args[which], step)
+            assert analytic == pytest.approx(fd, rel=1e-5, abs=floor)
 
 
 def test_series_and_direct_branches_agree(p):
