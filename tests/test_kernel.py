@@ -390,6 +390,7 @@ def test_partials_match_a_tight_reference(p, dbox, rng):
         (0.05, -1.0899805355425524e-9, -0.0060165314590255806),
         (0.02, -3.1457408240012093e-28, -0.0060165314225317565),
     ],
+    ids=["0.05tau1", "0.02tau1"],
 )
 def test_partials_at_cold_gapped_states(p, dbox, frac, f_T, f_H):
     # At (frac tau1, 0.3 H_max, Y0/4) F_T is exponentially small, below any
@@ -399,7 +400,7 @@ def test_partials_at_cold_gapped_states(p, dbox, frac, f_T, f_H):
     # dJ/dH at fixed (T, Y) integrated with mpmath at 40 digits.
     values, errors = F_partials_many(frac * dbox.tau1, 0.3 * dbox.H_max, dbox.Y0 / 4, p)
     assert not errors
-    assert values[0, :2] == pytest.approx([f_T, f_H], rel=1e-9)
+    assert values[0, :2] == pytest.approx([f_T, f_H], rel=1e-9, abs=0.0)
 
 
 def test_partial_Y_one_sided_at_zero_gap(p):
