@@ -163,13 +163,13 @@ def _emit(config: CliConfig, fields: dict) -> None:
 
 def _setup(config: CliConfig) -> tuple[float, DomainBox]:
     """tau1 and the working box whose lower temperature ``--T0`` gives."""
-    tau1 = solve_tau1(config.params, config.root, config.quad)
+    tau1 = solve_tau1(config.params)
     return tau1, domain_from(config.params, _parse_temperature(config.t0_spec, tau1), tau1)
 
 
 def _cmd_tc(config: CliConfig, args) -> int:
     p = config.params
-    tau1 = solve_tau1(p, config.root, config.quad)
+    tau1 = solve_tau1(p)
     ref = WEAK_COUPLING_COEFF * p.hbar_omega_D * math.exp(-0.5 / p.U1)
     _emit(config, {
         "tau1": tau1,
@@ -211,7 +211,7 @@ def _cmd_hc(config: CliConfig, args) -> int:
         "file": str(paths[0]),
         "n": len(hcs),
         "tau1": tau1,
-        "slope_at_tau1": hc_slope_at_tc(p, config.root, config.quad, tau1=tau1),
+        "slope_at_tau1": hc_slope_at_tc(p, tau1=tau1),
         "hc_at_T0": hcs[0],
     })
     return 0
@@ -333,7 +333,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
         gap_at_hc = unwrap(at_hc[0]).gap
         add("gap-hc-consistency", "gap vanishes on the critical curve", True,
             gap_at_hc.boundary and gap_at_hc.Y == 0.0)
-        slope = hc_slope_at_tc(p, root, quad, tau1=tau1)
+        slope = hc_slope_at_tc(p, tau1=tau1)
         add("hc-slope-sign", "closed-form slope at tau1 is negative", True, slope < 0,
             f"slope {slope:.4f}")
         sol = unwrap(paired).gap

@@ -154,9 +154,8 @@ class RootSpec:
 
     ``x_tol`` is relative, so a solved value does not depend on the unit
     of its variable: a solve on [lo, hi] may stop once its bracket is
-    ``max(x_tol * (hi - lo), spacing(hi - lo))`` wide (the Newton steps of
-    ``solve_tau1``, which has no bracket, once a step moves T by at most
-    ``x_tol * T``).  ``f_tol`` bounds the residual at the root.
+    ``max(x_tol * (hi - lo), spacing(hi - lo))`` wide.  ``f_tol`` bounds
+    the residual at the root.
     """
 
     x_tol: float = 1e-12

@@ -65,8 +65,8 @@ def validate(params: MaterialParams) -> MaterialParams:
         ValueError: naming the offending field, for a non-finite constant
             or a non-positive required one; naming U1 and hbar_omega_D when
             the gap scales fall outside double range, i.e. the weak-coupling
-            scale hbar_omega_D e^(-1/(2 U1)) is below the smallest normal
-            double or sinh(1/(2 U1)) overflows.
+            scale hbar_omega_D e^(-1/(2 U1)) or the ratio e^(-1/(2 U1)) is
+            below the smallest normal double, or sinh(1/(2 U1)) overflows.
     """
     for name in ("hbar_omega_D", "U1", "a", "b", "mu_B"):
         check_arg(name, getattr(params, name), positive=True)
@@ -75,13 +75,18 @@ def validate(params: MaterialParams) -> MaterialParams:
     x = 0.5 / params.U1
     try:
         math.sinh(x)  # domain_from divides by it; raises OverflowError past double range
-        in_range = params.hbar_omega_D * math.exp(-x) >= sys.float_info.min
+        # tau1 is above 1.13 hbar_omega_D e^-x, so a normal e^-x keeps
+        # hbar_omega_D / T below 5e307 down to T = 0.8 tau1.  F(0.8 tau1, 0, 0)
+        # fails once xi / T overflows inside the window: from e^-x = 5.4e-309
+        # at hbar_omega_D = 4.5 and 6.1e-309 at 8, where the gap-scale bound
+        # alone would accept the coupling.
+        in_range = min(1.0, params.hbar_omega_D) * math.exp(-x) >= sys.float_info.min
     except OverflowError:
         in_range = False
     if not in_range:
         raise ValueError(
             f"U1 = {params.U1!r} with hbar_omega_D = {params.hbar_omega_D!r} puts the gap "
-            "scale hbar_omega_D e^(-1/(2 U1)) outside double range"
+            "scale hbar_omega_D e^(-1/(2 U1)) or hbar_omega_D / tau1 outside double range"
         )
     return params
 

@@ -4,13 +4,19 @@ Because F(T, H, Y) is strictly decreasing in each argument on the working
 box, every quantity of interest is the unique root of F along one axis:
 
 * ``solve_tau1``        -- zero-field transition temperature, root in T at
-                           H = Y = 0;
+                           H = Y = 0, taken on F's closed form there;
 * ``solve_hc``          -- critical field at temperature T, root in H^2 at
                            Y = 0;
 * ``solve_gap_squared`` -- squared gap f(T, H), root in log1p(Y / (pi T)^2);
 * ``implicit_partials`` -- df/dT and df/dH by implicit differentiation;
 * ``hc_slope_at_tc``    -- closed-form slope of the critical-field curve at
                            the transition temperature.
+
+At H = Y = 0, F and the slope's two integrals are functions of
+u = hbar_omega_D / (2 T) alone, with antiderivatives in G(u) = integral
+from 0 to u of tanh(x) / x dx, so ``solve_tau1`` and ``hc_slope_at_tc`` run
+no quadrature and take no tolerances; the quadrature F stays their
+independent check in the tests and in ``bcsfield check``.
 
 ``solve_hc_many`` and ``solve_gap_squared_many`` solve a whole batch of
 states with one lockstep root iteration over batched evaluations of F, and
@@ -29,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import F_partials_many, _F_many, fermi_delta
+from .kernel import F_partials_many, _F_many
 # ``find_root_decreasing`` stays importable here: bench/spans.py patches
 # solvers.find_root_decreasing by name.
 from .numerics import (  # noqa: F401
-    DEFAULT_ROOT,
     BracketError,
     NumericsError,
     QuadSpec,
@@ -42,8 +47,6 @@ from .numerics import (  # noqa: F401
     RootSpec,
     find_root_decreasing,
     find_root_decreasing_many,
-    first,
-    integrate_many,
     unwrap,
 )
 from .params import Z_CAP, DomainBox, MaterialParams, check_arg
@@ -120,7 +123,8 @@ TAU1_WEAK_COUPLING = 2.0 * math.exp(np.euler_gamma) / math.pi
 # rule is within 3e-16 relative of the integral for u <= 3 (7e-16 at
 # u = 4).  At and above it _F_tau1 sums E1 terms: 7 at u = 3, each about 20
 # steps of its continued fraction, but 38 terms of about 16 steps at
-# u = 1/2, where one F would cost 150 us.
+# u = 1/2, where one F would cost 150 us.  _G_minus_tanh switches at the
+# same u, for the same reasons.
 _U_QUADRATURE = 3.0
 
 # A Newton step s in ln T leaves the root of F(T, 0, 0) about
@@ -172,23 +176,14 @@ def _e1(x: float) -> float:
     return h * scale
 
 
-def _F_tau1(T: float, T_s: float, p: MaterialParams) -> float:
-    """F(T, 0, 0) in closed form, with no quadrature; T_s is the seed of solve_tau1.
+def _tail(u: float) -> float:
+    """I(u) = integral from u to infinity of (1 - tanh x) / x dx, for u >= _U_QUADRATURE.
 
-    With u = hbar_omega_D / (2 T), F = 2 G(u) - 1/U1 for G(u) = integral from
-    0 to u of tanh(x) / x dx, which is also 2 ln(T_s / T) + 2 I(u) with
-    I(u) = integral from u to infinity of (1 - tanh x) / x dx (solve_tau1).
-    Below _U_QUADRATURE, G(u) comes from a fixed Gauss-Legendre rule;
-    there tau1 is above hbar_omega_D / 6, and at strong coupling
-    2 G(u) - 1/U1 cancels no term of size ln(T / T_s).  At and above it,
-    where the seed is decided, the second form is used, with
-    I(u) = 2 sum over k >= 1 of (-1)^(k+1) E1(2 k u) summed until a term is
-    below 1e-17 of the sum (3 terms at the default u = 12.4, 7 at u = 3, of
-    at most 20), so that F(T_s) is exactly 2 I(u).
+    I(u) = 2 sum over k >= 1 of (-1)^(k+1) E1(2 k u), summed until a term is
+    below 1e-17 of the sum: 3 terms at the default u = 12.4, 7 at u = 3, of
+    at most 20.  It is G(u) - ln(4 e^gamma u / pi) for the G(u) of
+    :func:`_F_tau1`.
     """
-    u = 0.5 * p.hbar_omega_D / T
-    if u < _U_QUADRATURE:
-        return 2.0 * sum(w * math.tanh(u * t) / t for t, w in _gauss_legendre()) - 1.0 / p.U1
     tail, sign = 0.0, 1.0
     for k in range(1, 21):
         term = _e1(2.0 * k * u)
@@ -196,11 +191,28 @@ def _F_tau1(T: float, T_s: float, p: MaterialParams) -> float:
         sign = -sign
         if term <= 1e-17 * tail:
             break
-    return 2.0 * math.log(T_s / T) + 4.0 * tail
+    return 2.0 * tail
 
 
-def _F_tau1_root(T_s: float, p: MaterialParams, f_tol: float) -> float:
-    """The root of :func:`_F_tau1`: T_s where ``|F(T_s)| <= f_tol``, else Newton steps in ln T.
+def _F_tau1(T: float, T_s: float, p: MaterialParams) -> float:
+    """F(T, 0, 0) in closed form, with no quadrature; T_s is the seed of solve_tau1.
+
+    With u = hbar_omega_D / (2 T), F = 2 G(u) - 1/U1 for G(u) = integral from
+    0 to u of tanh(x) / x dx, which is also 2 ln(T_s / T) + 2 I(u) with the
+    tail I of :func:`_tail` (solve_tau1).  Below _U_QUADRATURE, G(u) comes
+    from a fixed Gauss-Legendre rule; there tau1 is above hbar_omega_D / 6,
+    and at strong coupling 2 G(u) - 1/U1 cancels no term of size
+    ln(T / T_s).  At and above it the second form is used, so that F(T_s)
+    is exactly 2 I(u) there.
+    """
+    u = 0.5 * p.hbar_omega_D / T
+    if u < _U_QUADRATURE:
+        return 2.0 * sum(w * math.tanh(u * t) / t for t, w in _gauss_legendre()) - 1.0 / p.U1
+    return 2.0 * math.log(T_s / T) + 2.0 * _tail(u)
+
+
+def _F_tau1_root(T_s: float, p: MaterialParams) -> float:
+    """The root of :func:`_F_tau1`, by Newton steps in ln T from T_s.
 
     In ln T, F(T, 0, 0) is decreasing and convex (see solve_tau1), and its
     curvature over twice its slope is u / sinh(2 u) <= 1/2, so the iterates
@@ -209,91 +221,50 @@ def _F_tau1_root(T_s: float, p: MaterialParams, f_tol: float) -> float:
     (0, inf), returning the last T inside.
     """
     T = T_s
-    F = _F_tau1(T, T_s, p)
-    if abs(F) <= f_tol:
-        return T
     for _ in range(_NEWTON_LIMIT):
-        step = F / (2.0 * math.tanh(0.5 * p.hbar_omega_D / T))
+        step = _F_tau1(T, T_s, p) / (2.0 * math.tanh(0.5 * p.hbar_omega_D / T))
         nxt = T * math.exp(step)
         if not 0.0 < nxt < math.inf:  # false for NaN too
             break
         T = nxt
         if abs(step) <= _CLOSED_STEP:
             break
-        F = _F_tau1(T, T_s, p)
     return T
 
 
-def solve_tau1(
-    p: MaterialParams,
-    spec: RootSpec | None = None,
-    quad: QuadSpec | None = None,
-) -> float:
+def solve_tau1(p: MaterialParams) -> float:
     """Zero-field transition temperature: the root of F(T, 0, 0) in T.
 
     At H = Y = 0 the gap equation is exactly
 
-        F(T, 0, 0) = 2 ln(T_s / T) + 2 I(hbar_omega_D / (2 T)),
+        F(T, 0, 0) = 2 G(u) - 1/U1 = 2 ln(T_s / T) + 2 I(u),
         T_s = (2 e^gamma / pi) hbar_omega_D e^(-1/(2 U1)),
 
-    with the positive tail I(u) = integral from u to infinity of
-    (1 - tanh x) / x dx.  The seed is the root of this closed form, taken
-    with no quadrature (:func:`_F_tau1_root`): T_s itself where the closed
-    form puts ``|F(T_s)| <= f_tol``, else the end of Newton steps on the
-    closed form.  From the seed, Newton steps in ln T on the quadrature F,
+    with u = hbar_omega_D / (2 T), G(u) = integral from 0 to u of
+    tanh(x) / x dx and the positive tail I(u) = integral from u to infinity
+    of (1 - tanh x) / x dx.  tau1 is the root of this closed form, taken
+    with no quadrature (:func:`_F_tau1_root`): Newton steps in ln T,
 
-        T <- T exp(F / (2 tanh u)),   u = hbar_omega_D / (2 T),
+        T <- T exp(F / (2 tanh u)),
 
-    run until ``|F| <= f_tol`` or a step moves T by at most ``x_tol * T``,
-    so the quadrature stays the arbiter.  In ln T, F has slope
+    from T_s until a step is at most 1e-8.  In ln T, F has slope
     -2 tanh u < 0 and curvature 2 u sech^2 u > 0: it is decreasing and
-    convex, so every tangent lies below it.  From F >= 0 the iterates rise
-    monotonically to the root and never overshoot; from F < 0 (quadrature
-    noise at the seed) one step lands below the root and the iteration then
-    rises.  The closed form agrees with the quadrature F to 2e-14 or better
-    from U1 = 0.05 to 653, so the first quadrature meets f_tol and a solve
-    takes one evaluation of F at every coupling tried, from the
-    ``MaterialParams`` floor to U1 = 1e3 at hbar_omega_D = 1.  From
-    hbar_omega_D = 4.5 up, the floor lets hbar_omega_D / T_s overflow; there
-    E1 is 0, T_s is the seed, and the quadrature F, which overflows too,
-    fails with a NumericsError.
-
-    Where T_s is kept, ``|F| <= f_tol`` bounds ln tau1 to about
-    ``f_tol / (2 tanh u)``, which is f_tol / 2 there (u >= 3): 1.4e-12 at
-    the default U1 = 0.15.  Elsewhere the seed's own rounding bounds it:
-    the Newton step left at the returned tau1 is at most 7e-16 relative
-    from U1 = 0.05 to 1e3, where stopping on ``|F| <= f_tol`` alone left
-    1.1e-8 at U1 = 653 (a relative error of about ``f_tol * tau1 /
-    hbar_omega_D`` once tau1 >> hbar_omega_D).
-
-    Raises:
-        NumericsError: on a non-finite F or step, or no convergence within
-            50 steps.
+    convex, so every tangent lies below it, and from F(T_s) = 2 I >= 0 the
+    iterates rise monotonically to the root and never overshoot.  The last
+    step leaves about its square over 2, below 1e-16, so tau1 is the root
+    to the rounding of the closed form, where T_s carries the rounding of
+    1/(2 U1) times that exponent: within 9.6e-16 relative of a 40-digit
+    root at 32 couplings from U1 = 0.02 to 1e3.  The closed form agrees
+    with the quadrature F to 2e-14 or better from U1 = 0.05 to 653; the
+    quadrature F, which no longer decides tau1, is its check in the tests
+    and in ``bcsfield check``.  ``params.validate`` keeps T_s a positive
+    double and hbar_omega_D / tau1 finite at every coupling it accepts.
     """
-    if spec is None:
-        spec = DEFAULT_ROOT
     T_s = TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
     # Every T evaluated is the seed times e^step for a finite step, and is
     # checked to stay in (0, inf): checking the seed checks them all.
     check_arg("T", T_s, positive=True)
-    T = _F_tau1_root(T_s, p, spec.f_tol)
-    for _ in range(_NEWTON_LIMIT):
-        F = float(first(*_F_many(np.array([T]), 0.0, 0.0, p, quad))[0])
-        if abs(F) <= spec.f_tol:
-            return T
-        step = F / (2.0 * math.tanh(0.5 * p.hbar_omega_D / T))
-        try:
-            nxt = T * math.exp(step)
-        except OverflowError:
-            nxt = math.inf
-        if not 0.0 < nxt < math.inf:  # false for NaN too
-            raise NumericsError(
-                f"tau1 solve: F(T, 0, 0) = {F!r} at T = {T!r} gives no finite Newton step"
-            )
-        if abs(nxt - T) <= spec.x_tol * T:
-            return nxt
-        T = nxt
-    raise NumericsError(f"tau1 solve: Newton steps did not converge within {_NEWTON_LIMIT}")
+    return _F_tau1_root(T_s, p)
 
 
 def solve_gap_squared_many(
@@ -539,29 +510,50 @@ def implicit_partials(
     return unwrap(implicit_partials_many(T, H, p, dbox, spec, quad)[0])
 
 
-# (sinh u - u) / u^3 = sum over k of u^(2k) / (2k + 3)!, highest power
-# first; nine terms leave a truncation below 5e-17 relative on |u| < 1.
+# (sinh v - v) / v^3 = sum over k of v^(2k) / (2k + 3)!, highest power
+# first; nine terms leave a truncation below 5e-17 relative on |v| < 1.
 _SINH_SERIES = [1.0 / math.factorial(2 * k + 3) for k in range(8, -1, -1)]
 
 
-def hc_slope_at_tc(
-    p: MaterialParams,
-    spec: RootSpec | None = None,
-    quad: QuadSpec | None = None,
-    tau1: float | None = None,
-) -> float:
-    """Closed-form slope dH_c/dT at the transition temperature.
+def _G_minus_tanh(u: float) -> float:
+    """G(u) - tanh u = integral from 0 to u of (tanh x / x - sech^2 x) dx.
 
-        -(1 / (a tau1)) * [I de / (1 + cosh(xi/tau1))]
-                        / [I (sinh(u)/u - 1) / (1 + cosh(u)) de],  u = xi/tau1,
+    At and above _U_QUADRATURE, G(u) = ln(4 e^gamma u / pi) + I(u) with the
+    tail I of :func:`_tail`; nothing cancels there, as G(3) is about 1.9 and
+    tanh u < 1.  Below it, the integrand is written
+    (sinh v - v) / (v cosh^2 x) with v = 2x, taking (sinh v - v) / v from
+    _SINH_SERIES where v < 1, where the difference would cancel, and the
+    integral by the 20-point rule of _gauss_legendre.
+    """
+    if u >= _U_QUADRATURE:
+        return math.log(2.0 * TAU1_WEAK_COUPLING * u) + _tail(u) - math.tanh(u)
+    total = 0.0
+    for t, w in _gauss_legendre():
+        x = u * t
+        v = 2.0 * x
+        if v < 1.0:
+            v2, series = v * v, 0.0
+            for c in _SINH_SERIES:
+                series = series * v2 + c
+            ratio = v2 * series
+        else:
+            ratio = (math.sinh(v) - v) / v
+        total += w * ratio / math.cosh(x) ** 2
+    return u * total
 
-    with the denominator integrand (sinh u - u) / (u (1 + cosh u)) taken
-    from the series of (sinh u - u) / u^3 on |u| < 1, where the difference
-    would cancel, and as tanh(u/2)/u - 1/(1 + cosh u) beyond.  Both
-    integrals are taken in u over [-hbar_omega_D / tau1, hbar_omega_D /
-    tau1], graded toward u = 0 with width 1, so that their peaks of width
-    tau1 in xi are resolved at any coupling.  Always negative; scales
-    exactly as 1/a.
+
+def hc_slope_at_tc(p: MaterialParams, tau1: float | None = None) -> float:
+    """Closed-form slope dH_c/dT at the transition temperature, with no quadrature.
+
+        -tanh(u) / (a tau1 (G(u) - tanh u)),   u = hbar_omega_D / (2 tau1),
+
+    with G(u) = integral from 0 to u of tanh(x) / x dx.  It is the ratio of
+    two integrals over the pairing window, in v = xi / tau1 over [-2u, 2u]:
+    the numerator, of 1 / (1 + cosh v), is 2 tanh u, and the denominator,
+    of (sinh v - v) / (v (1 + cosh v)), is 2 (G(u) - tanh u)
+    (:func:`_G_minus_tanh`).  At tau1, 2 G(u) = 1/U1, but that shortcut
+    cancels at strong coupling, so G is evaluated.  Always negative;
+    scales exactly as 1/a.  ``tau1`` defaults to :func:`solve_tau1`.
 
     This is not the slope of the solved curve.  F is even in H at H = 0
     (F_H(tau1, 0, 0) = 0), so the curve leaves tau1 with a square-root cusp,
@@ -569,23 +561,12 @@ def hc_slope_at_tc(
     and its difference quotients diverge instead of approaching this value.
     ``tests/test_acceptance.py::test_criterion_6_slope_formula`` compares the
     two and fails for that reason.
+
+    Raises:
+        ValueError: naming tau1, for a non-finite or non-positive one.
     """
     if tau1 is None:
-        tau1 = solve_tau1(p, spec, quad)
-    # In u = xi / tau1 both integrands are peaks of width 1 at u = 0, and tau1
-    # cancels from their ratio.
-    w = p.hbar_omega_D / tau1
-
-    def integrand(u, owner):
-        # Numerator and denominator on shared panels, each to its tolerance.
-        r = 2.0 * fermi_delta(u)
-        small = np.abs(u) < 1.0
-        u2 = np.where(small, u, 0.0) ** 2
-        den = np.where(small, u2 * np.polyval(_SINH_SERIES, u2) * r,
-                       np.tanh(0.5 * u) / np.where(small, 1.0, u) - r)
-        return np.stack([r, den], axis=-1)
-
-    num, den = (float(v) for v in first(*integrate_many(
-        integrand, [-w], [w], quad, ([[0.0]], [[1.0]])))[0])
-    return -num / (p.a * tau1 * den)
-
+        tau1 = solve_tau1(p)
+    check_arg("tau1", tau1, positive=True)
+    u = 0.5 * p.hbar_omega_D / tau1
+    return -math.tanh(u) / (p.a * tau1 * _G_minus_tanh(u))

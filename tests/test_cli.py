@@ -201,14 +201,14 @@ def quadratures(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # tau1 from its closed-form seed, confirmed by one F.
-    (["tc"], 1),
-    (["--set", "U1=0.25", "tc"], 1),
-    # tau1, then both ends of the gap bracket in one F: a normal state.
-    (["gap", "--T", "0.9tau1", "--H", "0.039"], 2),
-    # Cold zero-field roots: 6 and 8 F, where a root taken in Y took 10.
-    (["--set", "U1=0.19", "gap", "--T", "1e-4", "--H", "0"], 6),
-    (["--set", "U1=0.13", "gap", "--T", "0.001", "--H", "0"], 8),
+    # tau1 from its closed form, with no F.
+    (["tc"], 0),
+    (["--set", "U1=0.25", "tc"], 0),
+    # Both ends of the gap bracket in one F: a normal state.
+    (["gap", "--T", "0.9tau1", "--H", "0.039"], 1),
+    # Cold zero-field roots: 5 and 7 F, where a root taken in Y took 9.
+    (["--set", "U1=0.19", "gap", "--T", "1e-4", "--H", "0"], 5),
+    (["--set", "U1=0.13", "gap", "--T", "0.001", "--H", "0"], 7),
 ])
 @pytest.mark.filterwarnings("ignore::bcsfield.solvers.DomainWarning")
 def test_point_query_quadratures(capsys, quadratures, argv, expected):

@@ -353,13 +353,17 @@ def test_partial_signs_on_the_box(p, dbox, rng):
 def test_partials_match_central_differences(p, dbox, rng):
     # Finite-difference oracle for all three analytic partials.  The two
     # small fields at Y = 0 once failed to converge: the odd orbital part
-    # of the dH integrand, of size 1/T^2, dwarfed F_H there.
+    # of the dH integrand, of size 1/T^2, dwarfed F_H there.  There F_H is
+    # of order H, so a step of 1e-7 leaves rounding noise of several 1e-6
+    # relative in the difference; F is even in H, and the step H / 2 keeps
+    # it below 1.1e-7.
     tau1 = dbox.tau1
     small_fields = [StatePoint(0.9 * tau1, 1e-3 * tau1, 0.0), StatePoint(0.9 * tau1, 1e-4 * tau1, 0.0)]
     for s in interior_points(dbox, rng, 100, h_lo=1e-3) + small_fields:
         f_T, f_H, f_Y = F_partials(s, p)
         c_T = central_diff(lambda t: F_eval(StatePoint(t, s.H, s.Y), p), s.T, 1e-6 * s.T)
-        c_H = central_diff(lambda h: F_eval(StatePoint(s.T, h, s.Y), p), s.H, 1e-7)
+        dH = 0.5 * s.H if s in small_fields else 1e-7
+        c_H = central_diff(lambda h: F_eval(StatePoint(s.T, h, s.Y), p), s.H, dH)
         assert f_T == pytest.approx(c_T, rel=1e-6)
         assert f_H == pytest.approx(c_H, rel=1e-6)
         if s.Y > 0.0:  # Y = 0 is one-sided: test_partial_Y_one_sided_at_zero_gap

@@ -97,6 +97,26 @@ def test_coupling_just_inside_double_range_is_kept():
     assert MaterialParams(U1=7.1e-4).U1 == 7.1e-4
 
 
+@pytest.mark.parametrize("w", [1.0, 4.5, 8.0, 2.0**10])
+def test_accepted_couplings_keep_F_finite_below_tau1(w):
+    # Near the floor on U1, where e^(-1/(2 U1)) runs from 1e-306 to 1e-310:
+    # every coupling validate accepts has a finite F(0.8 tau1, 0, 0), and
+    # the others are rejected by name.  A floor on w e^(-1/(2 U1)) alone
+    # accepted couplings where F failed, from e^(-1/(2 U1)) = 5.4e-309 at
+    # w = 4.5 and 6.1e-309 at w = 8, where xi / T overflows in the window.
+    accepted = 0
+    for ratio in np.geomspace(1e-306, 1e-310, 40).tolist():
+        try:
+            q = MaterialParams(hbar_omega_D=w, U1=-0.5 / math.log(ratio))
+        except ValueError as exc:
+            assert re.search(r"\bU1\b", str(exc)), str(exc)
+            continue
+        t1 = solve_tau1(q)
+        assert math.isfinite(F_eval(StatePoint(0.8 * t1, 0.0, 0.0), q))
+        accepted += 1
+    assert 15 <= accepted < 40
+
+
 # ------------------------------------------------------------------- box
 
 

@@ -69,18 +69,26 @@ def test_tau1_at_weak_coupling_is_the_seed():
     assert solve_tau1(q) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
-def test_tau1_evaluates_each_F_once(p, integrand_calls):
-    # At U1 = 0.15 the seed is the root: one F state, resolved at the
-    # graded quadrature's first level (6 calls from one panel).
+def test_tau1_evaluates_each_F_once(p, integrand_calls, monkeypatch):
+    # At U1 = 0.15 the Newton step from the seed is below 1e-8: one
+    # closed-form F, at T_s, and no quadrature.
+    evaluated = []
+    closed = solvers._F_tau1
+
+    def recorded(T, T_s, q):
+        evaluated.append(T)
+        return closed(T, T_s, q)
+
+    monkeypatch.setattr(solvers, "_F_tau1", recorded)
     solve_tau1(p)
-    assert integrand_calls[0] <= 2
+    assert evaluated == [TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)]
+    assert integrand_calls[0] == 0
 
 
 @pytest.mark.parametrize("U1", [0.1, 0.15, 0.3, 0.8, 3.0])
 def test_tau1_checks_T_once_and_keeps_the_checked_F(U1, monkeypatch):
-    # solve_tau1 checks its seed and evaluates the unchecked F at every
-    # iterate: one check per solve, however many iterates it takes, and
-    # the tau1 that the checked F_eval_many gives, to the bit.
+    # solve_tau1 checks its seed once, however many Newton steps it takes,
+    # and evaluates no quadrature F.
     p = MaterialParams(U1=U1)
     checks = []
     for module in (kernel, numerics, solvers):
@@ -89,23 +97,17 @@ def test_tau1_checks_T_once_and_keeps_the_checked_F(U1, monkeypatch):
             return _check(*args, **kwargs)
 
         monkeypatch.setattr(module, "check_arg", counted)
-    fast = solve_tau1(p)
-    assert checks == ["T"]
     evaluated = []
-
-    def checked(T, H, Y, p, quad):
-        evaluated.append(float(T[0]))
-        return F_eval_many(T, H, Y, p, quad)
-
-    monkeypatch.setattr(solvers, "_F_many", checked)
-    assert solve_tau1(p) == fast
-    assert len(checks) == 2 + 3 * len(evaluated)
+    monkeypatch.setattr(solvers, "_F_many", lambda *args: evaluated.append(args))
+    solve_tau1(p)
+    assert checks == ["T"]
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("U1, most", [(0.16, 2), (0.19, 2), (0.22, 2), (0.25, 3)])
 def test_tau1_newton_takes_few_integrand_calls(U1, most, integrand_calls):
-    # F(T_s) = 8e-5 at U1 = 0.22 and 8e-4 at 0.25: one or two Newton steps
-    # in ln T from the seed, each one F.
+    # F(T_s) = 8e-5 at U1 = 0.22 and 8e-4 at 0.25: the Newton steps in
+    # ln T from the seed are taken on the closed form, with no quadrature F.
     solve_tau1(MaterialParams(U1=U1))
     assert integrand_calls[0] <= most
 
@@ -114,12 +116,6 @@ def test_tau1_newton_takes_few_integrand_calls(U1, most, integrand_calls):
 def test_tau1_meets_f_tol(U1):
     q = MaterialParams(U1=U1)
     assert abs(F_eval(StatePoint(solve_tau1(q), 0.0, 0.0), q)) <= RootSpec().f_tol
-
-
-def test_tau1_non_finite_F_is_a_tau1_error(monkeypatch):
-    monkeypatch.setattr(solvers, "_F_many", lambda T, H, Y, p, quad: (np.full(T.size, np.nan), {}))
-    with pytest.raises(NumericsError, match="tau1 solve.*nan"):
-        solve_tau1(MaterialParams())
 
 
 def test_tau1_strong_coupling_expansion():
@@ -149,30 +145,42 @@ def test_tau1_closed_form_matches_the_quadrature(U1):
 
 @pytest.mark.parametrize("U1", [0.13, 0.16, 0.2, 0.25, 0.5, 1.0, 2.0, 15.5, 653.0])
 def test_tau1_takes_one_integrand_call(U1, integrand_calls):
-    # Newton starts at the root of the closed form, and one quadrature
-    # confirms it.
+    # tau1 is the root of the closed form, found with no integrand call,
+    # and the quadrature F meets f_tol there.
     q = MaterialParams(U1=U1)
     tau1 = solve_tau1(q)
-    assert integrand_calls[0] == 1
+    assert integrand_calls[0] == 0
     assert abs(F_eval(StatePoint(tau1, 0.0, 0.0), q)) <= RootSpec().f_tol
 
 
-def test_tau1_at_the_default_coupling_is_the_seed_exactly(p):
-    assert solve_tau1(p) == TAU1_WEAK_COUPLING * p.hbar_omega_D * math.exp(-0.5 / p.U1)
+@pytest.mark.parametrize("U1, root", [
+    (0.02, 1.5747066210012466627e-11),
+    (0.05, 0.000051477433005999313023),
+    (0.15, 0.040449525190890074804),
+    (0.1535, 0.043643713372581852212),
+    (0.25, 0.15351347071856033847),
+    (1.0, 0.97235299883984194127),
+    (653.0, 652.99995746129021707),
+])
+def test_tau1_matches_a_40_digit_root(U1, root):
+    # The roots of 2 G(u) - 1/U1 = 0, u = hbar_omega_D / (2 T), from mpmath
+    # at 40 digits with G(u) = ln(4 e^gamma u / pi) + I(u) for u >= 3.  At
+    # U1 = 0.15 and 0.1535 the seed T_s meets f_tol but is 1.4e-12 and
+    # 9.4e-12 off; tau1 is no farther from the root than T_s anywhere.
+    q = MaterialParams(U1=U1)
+    tau1 = solve_tau1(q)
+    assert tau1 == pytest.approx(root, rel=1e-15, abs=0.0)
+    T_s = TAU1_WEAK_COUPLING * q.hbar_omega_D * math.exp(-0.5 / U1)
+    assert abs(tau1 - root) <= abs(T_s - root)
 
 
 @pytest.mark.parametrize("w", [8.0, 2.0**10, 2.0**100])
 def test_tau1_ends_where_the_closed_form_overflows(w):
-    # At U1 = 7.04e-4, valid from hbar_omega_D = 4.5 up, u = w / (2 T_s)
-    # is about 1.2e308 and 2u overflows: E1 is 0 there and T_s is the root.
-    q = MaterialParams(hbar_omega_D=w, U1=7.04e-4)
-    T_s = TAU1_WEAK_COUPLING * w * math.exp(-0.5 / q.U1)
-    assert 2.0 * (0.5 * w / T_s) == math.inf
-    assert solvers._e1(math.inf) == 0.0
-    assert solvers._F_tau1_root(T_s, q, RootSpec().f_tol) == T_s
-    # The quadrature of F overflows in xi / T at this T and has the last word.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
-        solve_tau1(q)
+    # At U1 = 7.04e-4 the gap scale w e^(-1/(2 U1)) is a normal double from
+    # w = 4.5 up, but w / T_s overflows: the closed form would return T_s,
+    # where the quadrature of F fails, so the coupling is rejected.
+    with pytest.raises(ValueError, match=r"\bU1\b"):
+        MaterialParams(hbar_omega_D=w, U1=7.04e-4)
 
 
 def test_tau1_at_strong_coupling_leaves_no_newton_step():
@@ -532,13 +540,24 @@ def test_slope_closed_form(p, tau1):
 @pytest.mark.parametrize("U1, tau1, expected", [
     (653.0, 652.9999501985177, -23508.000228586265),
     (10.0, 9.997222339456362, -360.03203092487807),
+    (0.006, 7.300538167836216e-37, -3.3273571642606979847e+34),
+    (0.02, 1.574706621001246e-11, -5291991042.7726206655),
+    (0.05, 5.147743300599929e-05, -4316.886240157390362),
+    (0.15, 0.04044952519089008, -21.190430618231246994),
+    (0.2663, 0.17359997289130816, -12.952689834589139498),
+    (1.0, 0.9723529988398419, -36.351913313994249343),
+    (169.4, 169.39983602258866, -6098.4018890264762927),
+    (1000.0, 999.9999722222221, -36000.000320000023767),
 ])
 def test_slope_at_strong_coupling_matches_a_40_digit_reference(U1, tau1, expected):
-    # tau1 > hbar_omega_D, so every node has |u| < 1, where the denominator
-    # integrand (sinh u - u) / (u (1 + cosh u)) cancels as a difference (to
-    # 3.2e-10 relative at U1 = 653).  The references integrate both
-    # integrands at this tau1 with mpmath at 40 digits.
-    assert hc_slope_at_tc(MaterialParams(U1=U1), tau1=tau1) == pytest.approx(expected, rel=1e-12)
+    # From weak coupling (u = hbar_omega_D / (2 tau1) = 7e35) to strong
+    # (u = 5e-4), across the switch at u = 3 (U1 = 0.2663 is u = 2.88).
+    # Below u = 1/2 every node takes the series of (sinh v - v) / v, where
+    # the difference would cancel (to 3.2e-10 relative at U1 = 653).  The
+    # references are taken at this tau1 with mpmath at 40 digits: the first
+    # two integrate the numerator and denominator integrands over the
+    # window, the others integrate G(u) - tanh u.
+    assert hc_slope_at_tc(MaterialParams(U1=U1), tau1=tau1) == pytest.approx(expected, rel=2e-15)
 
 
 @pytest.mark.parametrize("U1", [1.36e-3, 0.01, 0.02])
@@ -573,6 +592,12 @@ def test_hc_rejects_non_finite_temperature(p, dbox, T):
         solve_hc(T, p, dbox)
     with pytest.raises(ValueError, match="^T must be finite"):
         solve_hc_many([0.03, T], p, dbox)
+
+
+@pytest.mark.parametrize("tau1", [0.0, -1.0, math.nan, math.inf])
+def test_slope_rejects_an_invalid_tau1(p, tau1):
+    with pytest.raises(ValueError, match="^tau1 must be"):
+        hc_slope_at_tc(p, tau1=tau1)
 
 
 def test_state_point_rejects_non_finite_input():
@@ -699,8 +724,8 @@ def test_solvers_return_a_root_or_an_error(p, dbox, fracs):
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(0.02, 1.0))
-# At U1 = 1e-3 the quadrature gives F(T_s) = -986 (its exact value is >= 0),
-# and T_s e^F(T_s) would underflow to T = 0.
+# At U1 = 1e-3 tau1 is T_s = 8.1e-218, where the quadrature gives
+# F = -3.8e-11.
 @example(1e-3)
 def test_tau1_is_a_root_or_an_error(U1):
     q = MaterialParams(U1=U1)
