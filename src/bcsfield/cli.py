@@ -102,7 +102,6 @@ def _build_parser() -> _Parser:
     entropy = sub.add_parser("entropy", help="entropy gap across the transition at T")
     entropy.add_argument("--T", required=True, help="temperature (number or fraction like 0.8tau1)")
     entropy.add_argument("--dos", default="linear:0.5", help="DOS spec: constant[:D0], linear[:slope], sqrt, table:PATH")
-    entropy.add_argument("--delta-T", type=float, default=None, help="finite-difference step for the cross-check")
 
     sweep = sub.add_parser("sweep", help="grid evaluation to CSV files")
     sweep.add_argument("--T-grid", required=True, metavar="MIN:MAX:N", help="temperature grid (values or fractions like 0.8tau1:1tau1:20)")
@@ -224,7 +223,7 @@ def _cmd_entropy(config: CliConfig, args) -> int:
     T = _parse_temperature(args.T, tau1)
     hc = solve_hc(T, p, dbox, config.root, config.quad)
     ds = entropy_gap(T, p, dos, dbox, config.root, config.quad, hc=hc)
-    ds_fd = entropy_gap_fd(T, p, dos, dbox, config.root, delta_T=args.delta_T, hc=hc)
+    ds_fd = entropy_gap_fd(T, p, dos, dbox, config.root, hc=hc)
     _emit(config, {
         "T": T,
         "H_c": hc,

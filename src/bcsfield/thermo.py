@@ -22,7 +22,13 @@ cancellation, and omega_S is omega_N + psi.  ``psi``,
 the same code.  ``entropy_gap_many`` and ``entropy_gap_fd_many``
 evaluate the entropy gap of a batch of temperatures the same way, and
 ``entropy_gap`` and ``entropy_gap_fd`` are their batch-of-one cases.  The
-entropy gap is taken on the critical curve H = H_c(T), where the gap is zero
+closed form's two edge slivers, of width 2h centred at -+w - s, are one
+integral per temperature in the offset t from their centres,
+
+    int_{-h}^{h} [ D(mu - s - w + t) / (w - t) - D(mu - s + w + t) / (w + t) ] dt,
+
+so that interval is exactly 2h wide: no rounding of -+w - s narrows it.
+The entropy gap is taken on the critical curve H = H_c(T), where the gap is zero
 (Y = 0) and the two potentials are equal (psi = 0); both functions use these
 two facts instead of solving for them, so an ``hc`` passed to them must be
 H_c(T).
@@ -41,7 +47,6 @@ from .kernel import _TINY, _energy, fermi, log1p_exp_neg, zeeman_edges
 # ``integrate`` stays importable here: bench/spans.py patches thermo.integrate
 # by name.
 from .numerics import (  # noqa: F401
-    DEFAULT_QUAD,
     NumericsError,
     QuadratureError,
     QuadSpec,
@@ -395,15 +400,13 @@ def entropy_gap_many(
 
     One batched H_c solve (skipped when ``hc`` passes H_c(T), a value or
     one per temperature, where an entry may be the ``NumericsError`` of its
-    solve), one ``F_partials_many`` at (T, H_c, 0), then the two edge
-    slivers of every row in one quadrature.  Returns one entry per
-    temperature: its dS, or the ``NumericsError`` of its H_c, its partials
-    or one of its slivers.  A row whose mu_B H_c reaches hbar_omega_D
+    solve), one ``F_partials_many`` at (T, H_c, 0), then the brace of
+    every row as one interval [-h, h] of one quadrature, in the offset t
+    from the sliver centres (see :func:`entropy_gap`).  Returns one entry
+    per temperature: its dS, or the ``NumericsError`` of its H_c, its
+    partials or its brace.  A row whose mu_B H_c reaches hbar_omega_D
     fails without integrating: its slivers then hold the non-integrable
-    pole at xi = -s.  So does a row whose 2 mu_B H_c is lost to the
-    rounding of its sliver bounds near -+hbar_omega_D: where a rounded
-    width misses 2 mu_B H_c by more than ``rel_tol`` of it, the slivers
-    would integrate a different field.
+    pole at xi = -s.
 
     Raises:
         ValueError: naming T or hc, for a non-finite or non-positive
@@ -415,39 +418,27 @@ def entropy_gap_many(
     out: list = list(hcs)
     w = p.hbar_omega_D
     H = np.array([math.nan if isinstance(x, NumericsError) else x for x in hcs])
-    s = p.a * H + p.b * H * H
     h = p.mu_B * H
-    # Row i's lower edge I1 and upper edge I2, each 2h wide before rounding.
-    lo = np.column_stack([-w - s - h, w - s - h])
-    hi = np.column_stack([-w - s + h, w - s + h])
-    width_err = np.abs(hi - lo - 2.0 * h[:, None]).max(axis=1)
     for i, h_i in enumerate(h.tolist()):
         # Once h >= w each sliver holds the pole of 1/|xi + s| at xi = -s.
         if h_i >= w:
             out[i] = NumericsError(f"entropy slivers hold the pole at xi = -s: "
                                    f"mu_B H_c = {h_i!r} >= hbar_omega_D = {w!r}")
-        elif width_err[i] > (quad or DEFAULT_QUAD).rel_tol * 2.0 * h_i:
-            out[i] = NumericsError(f"entropy slivers lose their width to rounding: 2 mu_B H_c "
-                                   f"= {2.0 * h_i!r} is below the resolution of hbar_omega_D = {w!r}")
     ok = [i for i, r in enumerate(out) if not isinstance(r, NumericsError)]
     # On the critical curve Y = 0, so df/dT needs no gap solve.
     for i, r in zip(ok, implicit_partials_at(T[ok].tolist(), H[ok].tolist(),
                                              [0.0] * len(ok), p, quad)):
         out[i] = r
-    # Sliver 2 j is row j's lower edge I1, sliver 2 j + 1 its upper edge I2.
     rows = [i for i in ok if not isinstance(out[i], NumericsError)]
-    s_of = np.repeat(s[rows], 2)
+    mu_s = p.mu - (p.a * H[rows] + p.b * H[rows] * H[rows])
 
-    def edge_weight(xi, k):
-        return dos_eval(dos, xi + p.mu, p) / np.abs(xi + s_of[k, None])
+    def brace(t, k):
+        m = mu_s[k, None]
+        return dos_eval(dos, m - w + t, p) / (w - t) - dos_eval(dos, m + w + t, p) / (w + t)
 
-    slivers, errors = _integrate_many(edge_weight, lo[rows].ravel(), hi[rows].ravel(), quad, None)
+    braces, errors = _integrate_many(brace, -h[rows], h[rows], quad, None)
     for j, i in enumerate(rows):
-        if 2 * j in errors or 2 * j + 1 in errors:
-            out[i] = errors.get(2 * j, errors.get(2 * j + 1))
-        else:
-            brace = float(slivers[2 * j]) - float(slivers[2 * j + 1])
-            out[i] = -0.25 * out[i][0] * brace
+        out[i] = errors[j] if j in errors else -0.25 * out[i][0] * float(braces[j])
     return out
 
 
@@ -467,10 +458,17 @@ def entropy_gap(
 
     where I1 and I2 are the width-2h slivers at the lower and upper edges of
     the spin-split windows (centers -w - s and +w - s, half-width h = mu_B
-    H_c).  df/dT = -F_T/F_Y is taken at (T, H_c, 0): the gap is zero on the
-    critical curve, so no gap is solved.  For a constant DOS the two
-    integrals cancel exactly; for an increasing DOS the brace is negative
-    and so is dS, making the transition first order.  At T = tau1 the
+    H_c).  With xi = -+w - s + t both slivers take the offset t from
+    their centres, so the brace is one integral over exactly 2h,
+
+        brace = int_{-h}^{h} [ D(mu - s - w + t) / (w - t)
+                             - D(mu - s + w + t) / (w + t) ] dt,
+
+    whose width no rounding of -+w can take.  df/dT = -F_T/F_Y is taken
+    at (T, H_c, 0): the gap is zero on the critical curve, so no gap is
+    solved.  For a constant DOS the integrand is odd in t and the brace
+    cancels; for an increasing DOS the brace is negative and so is dS,
+    making the transition first order.  At T = tau1 the
     slivers are empty and dS = 0.  ``hc`` may pass H_c(T), already solved,
     to skip that root solve; it must be the critical field, where Y = 0.
     The batch-of-one case of :func:`entropy_gap_many`.
@@ -478,9 +476,9 @@ def entropy_gap(
     return unwrap(entropy_gap_many(T, p, dos, dbox, spec, quad, hc)[0])
 
 
-# Default step of the finite difference, relative to T.  psi is integrated
+# Step of the finite difference, relative to T.  psi is integrated
 # without cancellation, so what is left of the error of dS_fd is the
-# O(delta_T^2) Richardson truncation: at U1 = 0.05 over 0.8-0.97 tau1 it is
+# O(step^2) Richardson truncation: at U1 = 0.05 over 0.8-0.97 tau1 it is
 # at most 0.085% (linear DOS) and 0.85% (sqrt DOS) with this step, against
 # 5.5% and 55% with 2e-3 T.
 FD_STEP = 2.5e-4
@@ -492,28 +490,27 @@ def entropy_gap_fd_many(
     dos: DosModel,
     dbox: DomainBox,
     spec: RootSpec | None = None,
-    delta_T=None,
     hc=None,
 ) -> list[float | NumericsError]:
     """:func:`entropy_gap_fd` at a batch of temperatures.
 
-    ``delta_T`` and ``hc`` are a value or one per temperature, and an
-    ``hc`` entry may be the ``NumericsError`` of its solve; without ``hc``
-    the critical fields are one batched solve.  The two potential gaps of
-    every row, at T - delta_T and T - delta_T/2, are one ``psi_many``.
-    Returns one entry per temperature: its dS, or the ``NumericsError`` of
-    its H_c or of one of its two potential gaps.
+    ``hc`` is a value or one per temperature, and an entry may be the
+    ``NumericsError`` of its solve; without ``hc`` the critical fields are
+    one batched solve.  The two potential gaps of every row, at T - d and
+    T - d/2 with d = ``FD_STEP * T``, are one ``psi_many``.  Returns one
+    entry per temperature: its dS, or the ``NumericsError`` of its H_c or
+    of one of its two potential gaps.
 
     Raises:
         ValueError: naming the argument, for a non-finite or non-positive T,
-            a delta_T outside (0, T), or a non-finite or negative hc.
+            a T whose step ``FD_STEP * T`` underflows to 0 (below about
+            2e-320), or a non-finite or negative hc.
     """
     T = check_arg("T", T, positive=True).ravel()
-    steps = FD_STEP * T if delta_T is None else np.broadcast_to(
-        np.asarray(delta_T, dtype=float), T.shape)
+    steps = FD_STEP * T
     bad = ~((0 < steps) & (steps < T))
     if bad.any():
-        raise ValueError(f"delta_T must be in (0, T), got {float(steps[bad][0])!r}")
+        raise ValueError(f"T must have its step FD_STEP * T in (0, T), got {float(T[bad][0])!r}")
     out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, None)
     ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
     steps_ok = steps[ok].tolist()
@@ -541,16 +538,15 @@ def entropy_gap_fd(
     dos: DosModel,
     dbox: DomainBox,
     spec: RootSpec | None = None,
-    delta_T: float | None = None,
     hc: float | None = None,
 ) -> float:
     """Entropy jump as a one-sided finite difference of the potential gap.
 
     Approaches (T, H_c(T)) from inside the superconducting region along
-    fixed H = H_c(T): dS = -dPsi/dT estimated from steps delta_T and
-    delta_T/2 with Richardson extrapolation.  Psi(T, H_c) = 0 on the
-    critical curve, so only the two probes below T are solved.  The step
-    defaults to ``FD_STEP * T`` (2.5e-4 T), and every quadrature runs at
+    fixed H = H_c(T): dS = -dPsi/dT estimated from steps d and d/2 with
+    Richardson extrapolation.  Psi(T, H_c) = 0 on the critical curve, so
+    only the two probes below T are solved.  The step is
+    d = ``FD_STEP * T`` (2.5e-4 T), and every quadrature runs at
     the default ``QuadSpec``: psi is integrated without cancellation, so
     it keeps its digits at the probes even at weak coupling, where it is
     about 1e-16.  Independent cross-check of :func:`entropy_gap`; the two
@@ -562,4 +558,4 @@ def entropy_gap_fd(
     be the critical field, where Psi = 0.  The two potential gaps are solved
     as one batch.  The batch-of-one case of :func:`entropy_gap_fd_many`.
     """
-    return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec, delta_T, hc)[0])
+    return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec, hc)[0])

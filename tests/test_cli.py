@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from bcsfield import kernel
+from bcsfield import MaterialParams, kernel
 from bcsfield.cli import main
-from bcsfield.solvers import TAU1_WEAK_COUPLING, DomainWarning
+from bcsfield.solvers import TAU1_WEAK_COUPLING, DomainWarning, implicit_partials_at
 
 
 def run(capsys, *argv):
@@ -312,13 +312,20 @@ def test_entropy_fd_keeps_its_sign_at_weak_coupling(capsys):
     assert payload["dS_fd"] == pytest.approx(payload["dS_formula"], rel=0.05)
 
 
-def test_entropy_fails_where_rounding_takes_the_sliver_width(capsys):
+@pytest.mark.parametrize("U1", [0.01, 0.02])
+def test_entropy_keeps_the_sliver_width_at_weak_coupling(capsys, U1):
     # At U1 = 0.01, 2 mu_B H_c = 2.8e-22 is below the spacing of the doubles
-    # near -+hbar_omega_D = -+1: the rounded sliver bounds had width 0, and
-    # dS_formula read exactly 0.0.
-    code, _, err = run(capsys, "--set", "U1=0.01", "entropy", "--T", "0.9tau1")
-    assert code == 2
-    assert "2 mu_B H_c = 2.836" in err and "hbar_omega_D = 1.0" in err
+    # near -+hbar_omega_D = -+1: sliver bounds taken in absolute xi had width
+    # 0.  The brace on [-h, h] keeps it, and the linear DOS's brace is
+    # exactly -4 D0 c h / w, so dS = (df/dT) D0 c mu_B H_c / w.
+    code, out, _ = run(capsys, "--json", "--set", f"U1={U1}", "entropy", "--T", "0.9tau1")
+    assert code == 0
+    payload = json.loads(out)
+    q = MaterialParams(U1=U1)
+    [(df_dT, _)] = implicit_partials_at([payload["T"]], [payload["H_c"]], [0.0], q)
+    exact = df_dT * 0.5 * q.mu_B * payload["H_c"] / q.hbar_omega_D
+    assert payload["dS_formula"] < 0.0
+    assert payload["dS_formula"] == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_entropy_at_tau1_at_weak_coupling(capsys):

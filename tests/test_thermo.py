@@ -29,7 +29,7 @@ from bcsfield import (
 from bcsfield import solvers, thermo
 from bcsfield.kernel import zeeman_edges
 from bcsfield.numerics import NumericsError, QuadSpec, integrate_many
-from bcsfield.solvers import DomainWarning
+from bcsfield.solvers import DomainWarning, implicit_partials_at
 from bcsfield.thermo import FD_STEP, _brackets, _omega_many
 
 
@@ -458,14 +458,14 @@ CURVE_FRACS = (0.0, 0.25, 0.5, 0.75, 0.95)
 
 
 def entropy_gap_by_gap_solve(T, hc, p, dos, dbox):
-    """dS with df/dT from a gap solve at (T, H_c) and its two slivers: a reference."""
+    """dS with df/dT from a gap solve at (T, H_c) and its brace on [-h, h]: a reference."""
     df_dT = implicit_partials(T, hc, p, dbox)[0]
-    s, h, w = p.a * hc + p.b * hc * hc, p.mu_B * hc, p.hbar_omega_D
-    slivers, errors = integrate_many(
-        lambda xi, k: dos_eval(dos, xi + p.mu, p) / np.abs(xi + s),
-        [-w - s - h, w - s - h], [-w - s + h, w - s + h])
+    mu_s, h, w = p.mu - (p.a * hc + p.b * hc * hc), p.mu_B * hc, p.hbar_omega_D
+    brace, errors = integrate_many(
+        lambda t, k: dos_eval(dos, mu_s - w + t, p) / (w - t) - dos_eval(dos, mu_s + w + t, p) / (w + t),
+        [-h], [h])
     assert not errors
-    return -0.25 * df_dT * (float(slivers[0]) - float(slivers[1]))
+    return -0.25 * df_dT * float(brace[0])
 
 
 def entropy_gap_fd_by_three_probes(T, hc, p, dos, dbox):
@@ -540,8 +540,9 @@ def test_entropy_gap_keeps_an_hc_error_as_its_row(p, dbox):
 
 
 def test_entropy_fd_step_validation(p, dbox):
-    with pytest.raises(ValueError, match="delta_T"):
-        entropy_gap_fd(dbox.T0, p, dos_constant(), dbox, delta_T=2 * dbox.T0)
+    # FD_STEP * T underflows to 0 at T = 1e-321: the row would divide by 0.
+    with pytest.raises(ValueError, match="^T must have its step"):
+        entropy_gap_fd(1e-321, p, dos_constant(), dbox, hc=0.01)
 
 
 def test_tabulated_dos_out_of_support_error(p, dbox):
@@ -670,6 +671,48 @@ def test_entropy_fd_matches_the_formula_at_every_coupling(U1):
         for value, value_fd in zip(ds, ds_fd):
             assert value < 0.0
             assert value_fd == pytest.approx(value, rel=0.05)
+
+
+def _curve(U1):
+    """Parameters, box, 10 temperatures from 0.8 to 0.97 tau1 and their H_c at coupling U1."""
+    from bcsfield import MaterialParams, domain_from, solve_tau1
+
+    q = MaterialParams(U1=U1)
+    t1 = solve_tau1(q)
+    box = domain_from(q, 0.8 * t1, t1)
+    T = np.linspace(0.8 * t1, 0.97 * t1, 10).tolist()
+    return q, box, T, solve_hc_many(T, q, box)
+
+
+@pytest.mark.parametrize("U1", [0.015, 0.02, 0.03, 0.05, 0.08, 0.15, 0.25])
+def test_entropy_gap_matches_the_linear_dos_closed_form(U1):
+    # For D = D0 (1 + c (eps - mu) / w) the brace is exactly -4 D0 c h / w,
+    # so dS = (df/dT) D0 c mu_B H_c / w.  The slivers taken in absolute xi
+    # lost their width to the rounding of -+w at U1 <= 0.03, and were 2e-12
+    # off at U1 = 0.05.
+    q, box, T, hcs = _curve(U1)
+    ds = entropy_gap_many(T, q, dos_linear(1.0, 0.5), box, hc=hcs)
+    for value, hc, (df_dT, _) in zip(ds, hcs, implicit_partials_at(T, hcs, [0.0] * 10, q)):
+        exact = df_dT * 0.5 * q.mu_B * hc / q.hbar_omega_D
+        assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("U1", [0.03, 0.05, 0.15])
+def test_entropy_gap_sqrt_dos_matches_a_40_digit_brace(U1):
+    # The brace of D = D0 sqrt(eps / mu) integrated with mpmath at 40 digits,
+    # at the library's H_c and df/dT.  The slivers in absolute xi were
+    # 1.3e-11 off at U1 = 0.05.
+    mpmath = pytest.importorskip("mpmath")
+    q, box, T, hcs = _curve(U1)
+    ds = entropy_gap_many(T, q, dos_sqrt(), box, hc=hcs)
+    with mpmath.workdps(40):
+        mu, w = mpmath.mpf(q.mu), mpmath.mpf(q.hbar_omega_D)
+        for value, hc, (df_dT, _) in zip(ds, hcs, implicit_partials_at(T, hcs, [0.0] * 10, q)):
+            H = mpmath.mpf(hc)
+            mu_s, h = mu - (q.a * H + q.b * H * H), q.mu_B * H
+            brace = mpmath.quad(lambda t: mpmath.sqrt((mu_s - w + t) / mu) / (w - t)
+                                - mpmath.sqrt((mu_s + w + t) / mu) / (w + t), [-h, h])
+            assert value == pytest.approx(-0.25 * df_dT * float(brace), rel=2e-15, abs=0.0)
 
 
 def test_entropy_slivers_holding_the_pole_fail_by_name():
