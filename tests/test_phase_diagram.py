@@ -221,7 +221,7 @@ def test_failed_point_leaves_the_other_rows_unchanged(p, dbox):
 
 def test_failed_entropy_row_leaves_the_other_rows_unchanged(p, dbox):
     # Y0 just below the largest squared gap of the finite-difference probes
-    # (T - delta_T, H_c(T)) fails that row's dS_fd alone (1 of 10 rows).
+    # (T - FD_STEP T, H_c(T)) fails that row's dS_fd alone (1 of 10 rows).
     spec = SweepSpec(T_grid=(dbox.T0, 0.95 * dbox.tau1, 10), outputs=frozenset({"entropy_curve"}))
     T = np.linspace(*spec.T_grid).tolist()
     with warnings.catch_warnings():
