@@ -33,11 +33,11 @@ from .solvers import (
     solve_tau1,
 )
 from .thermo import (
+    _entropy_gap_fd_many,
+    _entropy_gap_many,
     dos_constant,
     dos_linear,
     dos_sqrt,
-    entropy_gap,
-    entropy_gap_fd,
     load_dos_table,
     psi_many,
 )
@@ -222,8 +222,8 @@ def _cmd_entropy(config: CliConfig, args) -> int:
     dos = _parse_dos(args.dos)
     T = _parse_temperature(args.T, tau1)
     hc = solve_hc(T, p, dbox, config.root, config.quad)
-    ds = entropy_gap(T, p, dos, dbox, config.root, config.quad, hc=hc)
-    ds_fd = entropy_gap_fd(T, p, dos, dbox, config.root, hc=hc)
+    ds = unwrap(_entropy_gap_many(np.array([T]), [hc], p, dos, config.quad)[0])
+    ds_fd = unwrap(_entropy_gap_fd_many(np.array([T]), [hc], p, dos, dbox, config.root)[0])
     _emit(config, {
         "T": T,
         "H_c": hc,
@@ -297,7 +297,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
 
     add("subcritical-positivity", "F(T, 0, 0) > 0 below tau1", True, np.all(F[1:] > 0))
 
-    states = rng.uniform([dbox.T0, 1e-6, 0.0], [tau1, dbox.H_max, dbox.Y0], (args.samples, 3))
+    states = rng.uniform([dbox.T0, 1e-6 * dbox.H_max, 0.0], [tau1, dbox.H_max, dbox.Y0], (args.samples, 3))
     ok_t, ok_h, ok_y = np.all(first(*F_partials_many(*states.T, p, quad)) < 0, axis=0)
     add("monotone-in-Y", "dF/dY < 0 on the box", True, ok_y)
     add("monotone-in-H", "dF/dH < 0 on the box", True, ok_h)
@@ -347,9 +347,8 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
         tp = unwrap(paired)
         add("psi-negative", "grand-potential difference < 0 in the paired state", False,
             tp.psi < 0, f"psi = {tp.psi:.3e}")
-        hc_mid = unwrap(hc_mid)
-        ds = entropy_gap(mid_T, p, dos, dbox, root, quad, hc=hc_mid)
-        ds_fd = entropy_gap_fd(mid_T, p, dos, dbox, root, hc=hc_mid)
+        ds = unwrap(_entropy_gap_many(np.array([mid_T]), [hc_mid], p, dos, quad)[0])
+        ds_fd = unwrap(_entropy_gap_fd_many(np.array([mid_T]), [hc_mid], p, dos, dbox, root)[0])
         agree = ds < 0 and ds_fd < 0 and abs(ds_fd / ds - 1.0) <= 0.05
         add("entropy-gap-cross-check", "closed form matches -dPsi/dT within 5%", False,
             agree, f"formula {ds:.4e}, fd {ds_fd:.4e}")

@@ -284,7 +284,8 @@ def _dJ_all(T, H, Y, xi, p: MaterialParams):
     E_safe = np.where(big, E, 1.0)
     w = _weight(np.where(big, z, 1.0), z1)
     direct = (rp + rm) / (4.0 * T * E_safe * E_safe) - w / (2.0 * E_safe**3)
-    z2 = z * z
+    # Capped so that the nodes np.where discards cannot overflow the powers.
+    z2 = np.minimum(z, _Z_SERIES) ** 2
     series_a = 2.0 / 3.0 + z2 * (2.0 / 15.0 + z2 * (4.0 / 315.0 + z2 * (2.0 / 2835.0)))
     series_b = 1.0 / 3.0 + z2 * (1.0 / 30.0 + z2 * (1.0 / 840.0 + z2 * (1.0 / 45360.0)))
     series = -(series_a * rp * rm - series_b * _r_r_cosh(z, z1)) / (2.0 * T**3)

@@ -4,7 +4,8 @@ A sweep is three batched solves: the critical fields of every temperature
 in one lockstep root iteration, then the gaps of every (T, H) point in
 another, then the grand potentials of every point in one breadth-first
 quadrature.  The entropy curve is two more batched calls over all of its
-rows, ``entropy_gap_many`` and ``entropy_gap_fd_many``.  Each point's result
+rows, the closed form and the finite difference of the entropy gap at the
+critical fields already solved.  Each point's result
 does not depend on the rest of the batch, so a sweep is deterministic: the
 same spec and parameters always produce byte-identical CSV.  A point whose
 solve fails fails on its own: it is recorded as a row marker, with its
@@ -25,7 +26,7 @@ import numpy as np
 from .numerics import NumericsError, QuadSpec, RootSpec, unwrap
 from .params import DomainBox, MaterialParams, check_arg
 from .solvers import DomainWarning, solve_gap_squared_many, solve_hc_many
-from .thermo import DosModel, entropy_gap_fd_many, entropy_gap_many, psi_many
+from .thermo import DosModel, _entropy_gap_fd_many, _entropy_gap_many, psi_many
 
 __all__ = ["SweepSpec", "SweepResult", "SweepError", "run_sweep", "write_csv"]
 
@@ -151,8 +152,8 @@ def run_sweep(
 
     if "entropy_curve" in spec.outputs:
         # A failed H_c stays that row's error in both entropy columns.
-        ds = entropy_gap_many(t_values, p, dos, dbox, root, quad, hc=hcs)
-        ds_fd = entropy_gap_fd_many(t_values, p, dos, dbox, root, hc=hcs)
+        ds = _entropy_gap_many(np.array(t_values), hcs, p, dos, quad)
+        ds_fd = _entropy_gap_fd_many(np.array(t_values), hcs, p, dos, dbox, root)
         rows = []
         for k, T in enumerate(t_values):
             points += 1

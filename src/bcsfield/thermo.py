@@ -30,8 +30,11 @@ integral per temperature in the offset t from their centres,
 so that interval is exactly 2h wide: no rounding of -+w - s narrows it.
 The entropy gap is taken on the critical curve H = H_c(T), where the gap is zero
 (Y = 0) and the two potentials are equal (psi = 0); both functions use these
-two facts instead of solving for them, so an ``hc`` passed to them must be
-H_c(T).
+two facts instead of solving for them.  They solve H_c(T) themselves and
+take no field, so the field is always the critical one.  The package's own
+callers that already hold H_c (the entropy table of a sweep, the CLI's
+``entropy`` and ``check``) pass it to the private ``_entropy_gap_many``
+and ``_entropy_gap_fd_many`` instead of solving it again.
 """
 
 from __future__ import annotations
@@ -371,22 +374,6 @@ def psi(
     return unwrap(psi_many(T, H, p, dos, dbox, spec, quad)[0])
 
 
-def _hc_column(T: np.ndarray, hc, p, dbox, spec, quad) -> list[float | NumericsError]:
-    """H_c at each temperature: the given ``hc`` broadcast to T, or solved.
-
-    A ``NumericsError`` entry of ``hc`` (as :func:`solve_hc_many` returns
-    it) stays that row's error.
-
-    Raises:
-        ValueError: naming hc, for a non-finite or negative entry.
-    """
-    if hc is None:
-        return solve_hc_many(T, p, dbox, spec, quad)
-    column = np.broadcast_to(np.asarray(hc, dtype=object), T.shape).tolist()
-    check_arg("hc", [h for h in column if not isinstance(h, NumericsError)])
-    return [h if isinstance(h, NumericsError) else float(h) for h in column]
-
-
 def entropy_gap_many(
     T,
     p: MaterialParams,
@@ -394,27 +381,33 @@ def entropy_gap_many(
     dbox: DomainBox,
     spec: RootSpec | None = None,
     quad: QuadSpec | None = None,
-    hc=None,
 ) -> list[float | NumericsError]:
     """:func:`entropy_gap` at a batch of temperatures.
 
-    One batched H_c solve (skipped when ``hc`` passes H_c(T), a value or
-    one per temperature, where an entry may be the ``NumericsError`` of its
-    solve), one ``F_partials_many`` at (T, H_c, 0), then the brace of
-    every row as one interval [-h, h] of one quadrature, in the offset t
-    from the sliver centres (see :func:`entropy_gap`).  Returns one entry
-    per temperature: its dS, or the ``NumericsError`` of its H_c, its
-    partials or its brace.  A row whose mu_B H_c reaches hbar_omega_D
+    One batched H_c solve, one ``F_partials_many`` at (T, H_c, 0), then the
+    brace of every row as one interval [-h, h] of one quadrature, in the
+    offset t from the sliver centres (see :func:`entropy_gap`).  Returns
+    one entry per temperature: its dS, or the ``NumericsError`` of its H_c,
+    its partials or its brace.  A row whose mu_B H_c reaches hbar_omega_D
     fails without integrating: its slivers then hold the non-integrable
     pole at xi = -s.
 
     Raises:
-        ValueError: naming T or hc, for a non-finite or non-positive
-            temperature or a non-finite or negative field, or from the DOS
-            when a sliver leaves its support.
+        ValueError: naming T, for a non-finite or non-positive temperature,
+            or from the DOS when a sliver leaves its support.
     """
     T = check_arg("T", T, positive=True).ravel()
-    hcs = _hc_column(T, hc, p, dbox, spec, quad)
+    return _entropy_gap_many(T, solve_hc_many(T, p, dbox, spec, quad), p, dos, quad)
+
+
+def _entropy_gap_many(T, hcs, p: MaterialParams, dos: DosModel,
+                      quad: QuadSpec | None) -> list[float | NumericsError]:
+    """:func:`entropy_gap_many` at critical fields already solved.
+
+    For callers that share one H_c solve: ``T`` is a 1-d float array of
+    checked temperatures, ``hcs`` is what :func:`solve_hc_many` returns for
+    them, and a ``NumericsError`` entry stays that row's error.
+    """
     out: list = list(hcs)
     w = p.hbar_omega_D
     H = np.array([math.nan if isinstance(x, NumericsError) else x for x in hcs])
@@ -449,7 +442,6 @@ def entropy_gap(
     dbox: DomainBox,
     spec: RootSpec | None = None,
     quad: QuadSpec | None = None,
-    hc: float | None = None,
 ) -> float:
     """Entropy jump across the transition at (T, H_c(T)), closed form.
 
@@ -468,12 +460,11 @@ def entropy_gap(
     at (T, H_c, 0): the gap is zero on the critical curve, so no gap is
     solved.  For a constant DOS the integrand is odd in t and the brace
     cancels; for an increasing DOS the brace is negative and so is dS,
-    making the transition first order.  At T = tau1 the
-    slivers are empty and dS = 0.  ``hc`` may pass H_c(T), already solved,
-    to skip that root solve; it must be the critical field, where Y = 0.
-    The batch-of-one case of :func:`entropy_gap_many`.
+    making the transition first order.  At T = tau1 the slivers are empty
+    and dS = 0.  H_c(T) is solved here, so the field is always the critical
+    one.  The batch-of-one case of :func:`entropy_gap_many`.
     """
-    return unwrap(entropy_gap_many(T, p, dos, dbox, spec, quad, hc)[0])
+    return unwrap(entropy_gap_many(T, p, dos, dbox, spec, quad)[0])
 
 
 # Step of the finite difference, relative to T.  psi is integrated
@@ -490,28 +481,48 @@ def entropy_gap_fd_many(
     dos: DosModel,
     dbox: DomainBox,
     spec: RootSpec | None = None,
-    hc=None,
 ) -> list[float | NumericsError]:
     """:func:`entropy_gap_fd` at a batch of temperatures.
 
-    ``hc`` is a value or one per temperature, and an entry may be the
-    ``NumericsError`` of its solve; without ``hc`` the critical fields are
-    one batched solve.  The two potential gaps of every row, at T - d and
-    T - d/2 with d = ``FD_STEP * T``, are one ``psi_many``.  Returns one
-    entry per temperature: its dS, or the ``NumericsError`` of its H_c or
-    of one of its two potential gaps.
+    One batched H_c solve, then the two potential gaps of every row, at
+    T - d and T - d/2 with d = ``FD_STEP * T``, as one ``psi_many``.
+    Returns one entry per temperature: its dS, or the ``NumericsError`` of
+    its H_c or of one of its two potential gaps.
 
     Raises:
-        ValueError: naming the argument, for a non-finite or non-positive T,
-            a T whose step ``FD_STEP * T`` underflows to 0 (below about
-            2e-320), or a non-finite or negative hc.
+        ValueError: naming T, for a non-finite or non-positive T, or a T
+            whose step ``FD_STEP * T`` underflows to 0 (below about
+            2e-320); both before any H_c is solved.
     """
     T = check_arg("T", T, positive=True).ravel()
+    _fd_steps(T)
+    return _entropy_gap_fd_many(T, solve_hc_many(T, p, dbox, spec), p, dos, dbox, spec)
+
+
+def _fd_steps(T: np.ndarray) -> np.ndarray:
+    """The finite-difference step ``FD_STEP * T`` of each temperature.
+
+    Raises:
+        ValueError: naming T, where a step is not in (0, T).
+    """
     steps = FD_STEP * T
     bad = ~((0 < steps) & (steps < T))
     if bad.any():
         raise ValueError(f"T must have its step FD_STEP * T in (0, T), got {float(T[bad][0])!r}")
-    out: list[float | NumericsError] = _hc_column(T, hc, p, dbox, spec, None)
+    return steps
+
+
+def _entropy_gap_fd_many(T, hcs, p: MaterialParams, dos: DosModel, dbox: DomainBox,
+                         spec: RootSpec | None) -> list[float | NumericsError]:
+    """:func:`entropy_gap_fd_many` at critical fields already solved.
+
+    For callers that share one H_c solve: ``T`` is a 1-d float array of
+    checked temperatures, ``hcs`` is what :func:`solve_hc_many` returns for
+    them, and a ``NumericsError`` entry stays that row's error.  Raises the
+    ``ValueError`` of :func:`_fd_steps`.
+    """
+    steps = _fd_steps(T)
+    out: list[float | NumericsError] = list(hcs)
     ok = [i for i, h in enumerate(out) if not isinstance(h, NumericsError)]
     steps_ok = steps[ok].tolist()
     # psi(T, H_c) = 0 on the critical curve: only the two probes below T.
@@ -538,7 +549,6 @@ def entropy_gap_fd(
     dos: DosModel,
     dbox: DomainBox,
     spec: RootSpec | None = None,
-    hc: float | None = None,
 ) -> float:
     """Entropy jump as a one-sided finite difference of the potential gap.
 
@@ -554,8 +564,8 @@ def entropy_gap_fd(
 
     When T sits at the box lower bound the probe dips just below T0; that
     is deliberate, so the below-T0 warning is suppressed for the probes.
-    ``hc`` may pass H_c(T), already solved, to skip that root solve; it must
-    be the critical field, where Psi = 0.  The two potential gaps are solved
-    as one batch.  The batch-of-one case of :func:`entropy_gap_fd_many`.
+    H_c(T) is solved here, so Psi = 0 holds at T.  The two potential gaps
+    are solved as one batch.  The batch-of-one case of
+    :func:`entropy_gap_fd_many`.
     """
-    return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec, hc)[0])
+    return unwrap(entropy_gap_fd_many(T, p, dos, dbox, spec)[0])

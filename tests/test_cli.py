@@ -423,14 +423,25 @@ def test_check_json(capsys):
     assert all({"name", "property", "hard", "passed"} <= set(c) for c in payload["checks"])
 
 
+def test_check_at_weak_coupling(capsys):
+    # H_max is 1.6e-11 at U1 = 0.02: the sample states' field floor scales
+    # with it, where an absolute floor of 1e-6 once exceeded the box and
+    # made check exit 1 with "high - low < 0".
+    code, out, _ = run(capsys, "--json", "--set", "U1=0.02", "check", "--samples", "4")
+    assert code == 0
+    assert json.loads(out)["hard_failures"] == 0
+
+
 def test_check_low_T0_surfaces_bracket_failure(capsys):
     code, out, _ = run(capsys, "--T0", "0.5tau1", "check", "--samples", "4")
     assert code == 3
     assert "FAIL" in out and "raise T0" in out
 
 
-def test_check_solves_the_mid_critical_field_once(capsys, monkeypatch):
-    # The entropy checks reuse the H_c(mid_T) of gap-hc-consistency.
+def test_check_solves_the_mid_critical_field_once(capsys, monkeypatch, tmp_path):
+    # The entropy checks reuse the H_c(mid_T) of gap-hc-consistency, and
+    # entropy and an entropy sweep pass on the H_c they solved: thermo
+    # solves no H_c of its own in any of the three.
     import bcsfield.thermo
 
     def no_solve(*args, **kwargs):
@@ -441,6 +452,9 @@ def test_check_solves_the_mid_critical_field_once(capsys, monkeypatch):
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["entropy-gap-cross-check"]["passed"]
+    assert run(capsys, "entropy", "--T", "0.9tau1")[0] == 0
+    assert run(capsys, "-o", str(tmp_path / "out"), "sweep", "--T-grid", "0.8tau1:0.97tau1:3",
+               "--outputs", "entropy_curve")[0] == 0
 
 
 def test_check_work_does_not_grow_with_samples(capsys, integrand_calls):

@@ -12,9 +12,6 @@ from bcsfield import (
     SweepSpec,
     DomainWarning,
     dos_linear,
-    entropy_gap,
-    entropy_gap_fd,
-    entropy_gap_fd_many,
     psi,
     run_sweep,
     solve_gap_squared,
@@ -23,7 +20,7 @@ from bcsfield import (
     solve_hc_many,
     write_csv,
 )
-from bcsfield.thermo import FD_STEP
+from bcsfield.thermo import FD_STEP, _entropy_gap_fd_many, _entropy_gap_many
 
 
 @pytest.fixture(scope="module")
@@ -234,19 +231,19 @@ def test_failed_entropy_row_leaves_the_other_rows_unchanged(p, dbox):
     dos = dos_linear(1.0, 0.5)
     result = run_sweep(spec, p, dos, cut)
     hc_worst = solve_hc(T[worst], p, cut)
-    reason = str(entropy_gap_fd_many(T[worst], p, dos, cut, hc=hc_worst)[0])
+    reason = str(_entropy_gap_fd_many(np.array([T[worst]]), [hc_worst], p, dos, cut, None)[0])
     assert result.failed == [(T[worst], None, reason)] and "no root in bracket" in reason
     assert all(math.isnan(v) for v in result.entropy_curve[worst][1:])
     for k, (t, hc, ds, ds_fd) in enumerate(result.entropy_curve):
         if k != worst:
             assert hc == solve_hc(t, p, cut)
-            assert (ds, ds_fd) == (entropy_gap(t, p, dos, cut, hc=hc),
-                                   entropy_gap_fd(t, p, dos, cut, hc=hc))
+            assert (ds, ds_fd) == (_entropy_gap_many(np.array([t]), [hc], p, dos, None)[0],
+                                   _entropy_gap_fd_many(np.array([t]), [hc], p, dos, cut, None)[0])
     # The probe gap grows with T, so the sweep fails its last row; a batch
     # may hold the failed row between two others.
     order = [0, worst, 1]
-    out = entropy_gap_fd_many([T[k] for k in order], p, dos, cut,
-                              hc=[solve_hc(T[k], p, cut) for k in order])
+    out = _entropy_gap_fd_many(np.array([T[k] for k in order]),
+                               [solve_hc(T[k], p, cut) for k in order], p, dos, cut, None)
     assert str(out[1]) == reason
     assert [out[0], out[2]] == [result.entropy_curve[0][3], result.entropy_curve[1][3]]
 
