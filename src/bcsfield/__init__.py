@@ -21,10 +21,6 @@ from .kernel import (
     F_partials_many,
     StatePoint,
     fermi,
-    fermi_delta,
-    integrand_J,
-    log1p_exp_neg,
-    quasiparticle_energy,
     thermal_weight,
 )
 from .numerics import (

@@ -17,13 +17,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import F_eval_many, F_partials_many, fermi, thermal_weight
 from .numerics import DEFAULT_QUAD, DEFAULT_ROOT, NumericsError, QuadSpec, RootSpec, first, unwrap
-from .params import Z_CAP, DomainBox, MaterialParams, domain_from, load_params
+from .params import Z_CAP, DomainBox, domain_from, load_params
 from .phase_diagram import OUTPUT_KINDS, SweepError, SweepResult, SweepSpec, run_sweep, write_csv
 from .solvers import (
     hc_slope_at_tc,
@@ -42,24 +41,12 @@ from .thermo import (
     psi_many,
 )
 
-__all__ = ["main", "CliConfig"]
+__all__ = ["main"]
 
 # Reference coefficient of the weak-coupling transition-temperature
 # asymptote tau1 ~ 1.134 * hbar_omega_D * exp(-1/(2 U1)): `tc` reports its
 # deviation from this rounded 2 e^gamma / pi (solvers.TAU1_WEAK_COUPLING).
 WEAK_COUPLING_COEFF = 1.134
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved global options shared by every subcommand."""
-
-    params: MaterialParams
-    quad: QuadSpec
-    root: RootSpec
-    t0_spec: str
-    output: str
-    as_json: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,25 +139,25 @@ def _parse_dos(spec: str):
     raise ValueError(f"unknown DOS spec {spec!r}")
 
 
-def _emit(config: CliConfig, fields: dict) -> None:
-    if config.as_json:
+def _emit(args, fields: dict) -> None:
+    if args.json:
         print(json.dumps(fields))
     else:
         for key, value in fields.items():
             print(f"{key} = {value}")
 
 
-def _setup(config: CliConfig) -> tuple[float, DomainBox]:
+def _setup(args) -> tuple[float, DomainBox]:
     """tau1 and the working box whose lower temperature ``--T0`` gives."""
-    tau1 = solve_tau1(config.params)
-    return tau1, domain_from(config.params, _parse_temperature(config.t0_spec, tau1), tau1)
+    tau1 = solve_tau1(args.p)
+    return tau1, domain_from(args.p, _parse_temperature(args.T0, tau1), tau1)
 
 
-def _cmd_tc(config: CliConfig, args) -> int:
-    p = config.params
+def _cmd_tc(args) -> int:
+    p = args.p
     tau1 = solve_tau1(p)
     ref = WEAK_COUPLING_COEFF * p.hbar_omega_D * math.exp(-0.5 / p.U1)
-    _emit(config, {
+    _emit(args, {
         "tau1": tau1,
         "weak_coupling_ref": ref,
         "deviation_pct": 100.0 * (tau1 - ref) / ref,
@@ -178,14 +165,13 @@ def _cmd_tc(config: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_gap(config: CliConfig, args) -> int:
-    p = config.params
-    tau1, dbox = _setup(config)
+def _cmd_gap(args) -> int:
+    tau1, dbox = _setup(args)
     T = _parse_temperature(args.T, tau1)
     # DomainWarning from the solver surfaces on stderr (outside-guarantee-zone
     # points are computed anyway).
-    gap = solve_gap_squared(T, args.H, p, dbox, config.root, config.quad)
-    _emit(config, {
+    gap = solve_gap_squared(T, args.H, args.p, dbox, args.root, args.quad)
+    _emit(args, {
         "T": gap.T,
         "H": gap.H,
         "delta": gap.delta,
@@ -198,33 +184,32 @@ def _cmd_gap(config: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_hc(config: CliConfig, args) -> int:
+def _cmd_hc(args) -> int:
     if args.n < 2:
         raise ValueError(f"need n >= 2 grid points, got {args.n!r}")
-    p = config.params
-    tau1, dbox = _setup(config)
+    tau1, dbox = _setup(args)
     grid = np.linspace(dbox.T0, tau1, args.n).tolist()
-    hcs = [unwrap(hc) for hc in solve_hc_many(grid, p, dbox, config.root, config.quad)]
-    paths = write_csv(SweepResult(hc_curve=list(zip(grid, hcs))), config.output)
-    _emit(config, {
+    hcs = [unwrap(hc) for hc in solve_hc_many(grid, args.p, dbox, args.root, args.quad)]
+    paths = write_csv(SweepResult(hc_curve=list(zip(grid, hcs))), args.output)
+    _emit(args, {
         "file": str(paths[0]),
         "n": len(hcs),
         "tau1": tau1,
-        "slope_at_tau1": hc_slope_at_tc(p, tau1=tau1),
+        "slope_at_tau1": hc_slope_at_tc(args.p, tau1=tau1),
         "hc_at_T0": hcs[0],
     })
     return 0
 
 
-def _cmd_entropy(config: CliConfig, args) -> int:
-    p = config.params
-    tau1, dbox = _setup(config)
+def _cmd_entropy(args) -> int:
+    p = args.p
+    tau1, dbox = _setup(args)
     dos = _parse_dos(args.dos)
     T = _parse_temperature(args.T, tau1)
-    hc = solve_hc(T, p, dbox, config.root, config.quad)
-    ds = unwrap(_entropy_gap_many(np.array([T]), [hc], p, dos, config.quad)[0])
-    ds_fd = unwrap(_entropy_gap_fd_many(np.array([T]), [hc], p, dos, dbox, config.root)[0])
-    _emit(config, {
+    hc = solve_hc(T, p, dbox, args.root, args.quad)
+    ds = unwrap(_entropy_gap_many(np.array([T]), [hc], p, dos, args.quad)[0])
+    ds_fd = unwrap(_entropy_gap_fd_many(np.array([T]), [hc], p, dos, dbox, args.root)[0])
+    _emit(args, {
         "T": T,
         "H_c": hc,
         "dS_formula": ds,
@@ -243,17 +228,16 @@ def _parse_grid(text: str, tau1: float, name: str):
     return (lo, hi, int(parts[2]))
 
 
-def _cmd_sweep(config: CliConfig, args) -> int:
-    p = config.params
-    tau1, dbox = _setup(config)
+def _cmd_sweep(args) -> int:
+    tau1, dbox = _setup(args)
     dos = _parse_dos(args.dos)
     outputs = frozenset(s.strip() for s in args.outputs.split(",") if s.strip())
     t_grid = _parse_grid(args.T_grid, tau1, "--T-grid")
     h_grid = "auto" if args.H_grid.strip() == "auto" else _parse_grid(args.H_grid, tau1, "--H-grid")
     spec = SweepSpec(T_grid=t_grid, H_grid=h_grid, outputs=outputs)
-    result = run_sweep(spec, p, dos, dbox, config.quad, config.root)
-    paths = write_csv(result, config.output)
-    _emit(config, {
+    result = run_sweep(spec, args.p, dos, dbox, args.quad, args.root)
+    paths = write_csv(result, args.output)
+    _emit(args, {
         "files": [str(path) for path in paths],
         "points": result.points,
         "failures": result.failures,
@@ -262,10 +246,9 @@ def _cmd_sweep(config: CliConfig, args) -> int:
     return 0
 
 
-def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, str]]:
+def _check_suite(args) -> list[tuple[str, str, bool, bool, str]]:
     """Run the invariant suite; returns (name, property, hard, passed, detail)."""
-    p = config.params
-    quad, root = config.quad, config.root
+    p, quad, root = args.p, args.quad, args.root
     if args.samples < 0:
         raise ValueError(f"need --samples >= 0, got {args.samples!r}")
     rng = np.random.default_rng(args.seed)
@@ -274,7 +257,7 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     def add(name: str, prop: str, hard: bool, passed: bool, detail: str = "") -> None:
         checks.append((name, prop, hard, bool(passed), detail))
 
-    tau1, dbox = _setup(config)
+    tau1, dbox = _setup(args)
     mid_T = 0.5 * (dbox.T0 + tau1)
 
     add("domain-cap-inequality", "z sinh z < 2 at z = 1.24", True,
@@ -358,11 +341,11 @@ def _check_suite(config: CliConfig, args) -> list[tuple[str, str, bool, bool, st
     return checks
 
 
-def _cmd_check(config: CliConfig, args) -> int:
-    checks = _check_suite(config, args)
+def _cmd_check(args) -> int:
+    checks = _check_suite(args)
     hard_failures = sum(1 for _, _, hard, passed, _ in checks if hard and not passed)
     soft_failures = sum(1 for _, _, hard, passed, _ in checks if not hard and not passed)
-    if config.as_json:
+    if args.json:
         print(json.dumps({
             "checks": [
                 {"name": name, "property": prop, "hard": hard, "passed": passed, "detail": detail}
@@ -398,20 +381,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Resolved once onto the namespace, which is all a command takes.
     try:
-        params = load_params(args.params, _parse_overrides(args.overrides))
-        quad = QuadSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-        root = RootSpec(x_tol=args.x_tol, f_tol=args.f_tol)
-        config = CliConfig(
-            params=params, quad=quad, root=root, t0_spec=args.T0,
-            output=args.output, as_json=args.json,
-        )
+        args.p = load_params(args.params, _parse_overrides(args.overrides))
+        args.quad = QuadSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+        args.root = RootSpec(x_tol=args.x_tol, f_tol=args.f_tol)
     except (OSError, ValueError) as exc:
         print(f"bcsfield: config error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"bcsfield: config error: {exc}", file=sys.stderr)
         return 1

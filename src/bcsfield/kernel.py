@@ -1,4 +1,4 @@
-"""Gap-equation kernel: quasiparticle energy, thermal weight, F and its partials.
+"""Gap-equation kernel: thermal weight, the integrand J, F and its partials.
 
 The central object is
 
@@ -13,17 +13,21 @@ The squared gap at a state point (T, H) is the root of F in Y; the critical
 field at T is the root in H at Y = 0; the zero-field transition temperature
 is the root in T at H = Y = 0.
 
-Every function here is pure, accepts numpy arrays for the energy-like
-argument (and arrays of states that broadcast against it), and is
-overflow-safe for arbitrarily small temperatures: the thermal weight is
-written with no positive exponent that can overflow, the derivatives in
-Fermi-function forms, and E is one ``hypot`` that neither underflows nor
-cancels.  F_T, F_Y and the Zeeman part of F_H are integrated; the
-orbital part of F_H is J at the window ends, because J depends on xi only
-through eta = xi + a H + b H^2.
-``F_eval_many`` and ``F_partials_many`` integrate a whole batch of states
-in one breadth-first quadrature; the scalar ``F_eval`` and ``F_partials``
-are their batch-of-one cases.
+Every function here is pure and overflow-safe for arbitrarily small
+temperatures: the thermal weight is written with no positive exponent that
+can overflow, the derivatives in Fermi-function forms, and E is one
+``hypot`` that neither underflows nor cancels.  The public ``fermi`` and
+``thermal_weight`` take a scalar or an array and return the same.  The
+pointwise integrands ``_J`` and ``_dJ_all`` and the helpers
+``_fermi_delta`` and ``_log1p_exp_neg`` are private: they take the float
+arrays of nodes the quadrature passes (and arrays of states that broadcast
+against them) and do no conversion or checking.
+
+F_T, F_Y and the Zeeman part of F_H are integrated; the orbital part of
+F_H is J at the window ends, because J depends on xi only through
+eta = xi + a H + b H^2.  ``F_eval_many`` and ``F_partials_many``
+integrate a whole batch of states in one breadth-first quadrature; the
+scalar ``F_eval`` and ``F_partials`` are their batch-of-one cases.
 """
 
 from __future__ import annotations
@@ -40,11 +44,7 @@ from .params import MaterialParams, check_arg
 __all__ = [
     "StatePoint",
     "fermi",
-    "fermi_delta",
-    "log1p_exp_neg",
-    "quasiparticle_energy",
     "thermal_weight",
-    "integrand_J",
     "F_eval",
     "F_eval_many",
     "F_partials",
@@ -83,19 +83,15 @@ def fermi(x):
     return float(out) if out.ndim == 0 else out
 
 
-def fermi_delta(x):
-    """Negative derivative of the Fermi function: 1 / (2 (cosh x + 1))."""
-    x = np.asarray(x, dtype=float)
+def _fermi_delta(x):
+    """Negative derivative of the Fermi function, 1 / (2 (cosh x + 1)), at an array x."""
     t = np.exp(-np.abs(x))
-    out = t / (1.0 + t) ** 2
-    return float(out) if out.ndim == 0 else out
+    return t / (1.0 + t) ** 2
 
 
-def log1p_exp_neg(x):
-    """ln(1 + e^(-x)), overflow-safe for any real x."""
-    x = np.asarray(x, dtype=float)
-    out = np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return float(out) if out.ndim == 0 else out
+def _log1p_exp_neg(x):
+    """ln(1 + e^(-x)) at an array x, overflow-safe for any real entry."""
+    return np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _shift(H: float, p: MaterialParams) -> float:
@@ -110,17 +106,6 @@ def _energy(eta, Y):
     the normal range, and E is exactly |eta| at Y = 0.
     """
     return np.hypot(eta, np.sqrt(Y))
-
-
-def quasiparticle_energy(xi, H: float, Y: float, p: MaterialParams):
-    """E = sqrt((xi + a H + b H^2)^2 + Y), taken as one ``hypot``.
-
-    Accurate wherever E is a double, including where the square of
-    xi + a H + b H^2 or Y itself is subnormal; exactly |xi + a H + b H^2|
-    at Y = 0.
-    """
-    out = _energy(np.asarray(xi, dtype=float) + _shift(H, p), Y)
-    return float(out) if out.ndim == 0 else out
 
 
 def _weight(z, z1: float):
@@ -148,27 +133,28 @@ def thermal_weight(T: float, E, H: float, p: MaterialParams):
     [0, 1); it rounds to 1.0 where 1 - w is below double resolution.
 
     Raises:
-        ValueError: naming ``T`` or ``H``, for a non-finite or negative
-            entry or a zero temperature.
+        ValueError: naming ``T``, ``E`` or ``H``, for a non-finite or
+            negative entry or a zero temperature.
     """
     T = check_arg("T", T, positive=True)
+    E = check_arg("E", E)
     H = check_arg("H", H)
-    E = np.asarray(E, dtype=float)
     out = _weight(E / T, p.mu_B * H / T)
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 
 
-def integrand_J(T: float, H: float, Y: float, xi, p: MaterialParams):
-    """J = thermal_weight(E) / E = w(z) / (z T), z = E/T, with no branch.
+def _J(T, H, Y, xi, p: MaterialParams):
+    """J = thermal_weight(E) / E = w(z) / (z T), z = E/T, at arrays of nodes and states.
 
-    z is raised to the smallest normal double, where expm1(-2z) is exactly
-    -2z: there J is its E -> 0 limit ``1 / (T (1 + cosh(mu_B H / T)))``
-    instead of 0/0, and any z above it keeps the full expression.
+    E = hypot(xi + a H + b H^2, sqrt(Y)) (see ``_energy``), and J has no
+    branch: z is raised to the smallest normal double, where expm1(-2z) is
+    exactly -2z, so there J is its E -> 0 limit
+    ``1 / (T (1 + cosh(mu_B H / T)))`` instead of 0/0, and any z above it
+    keeps the full expression.
     """
-    z = np.maximum(quasiparticle_energy(xi, H, Y, p) / T, _TINY)
-    out = np.asarray(_weight(z, p.mu_B * H / T) / (z * T))
-    return float(out) if out.ndim == 0 else out
+    z = np.maximum(_energy(xi + _shift(H, p), Y) / T, _TINY)
+    return _weight(z, p.mu_B * H / T) / (z * T)
 
 
 def _states(T, H, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,7 +212,7 @@ def _F_many(T, H, Y, p: MaterialParams, quad: QuadSpec | None):
     iterates of them; the three broadcast to one 1-d shape.
     """
     T, H, Y = np.broadcast_arrays(T, H, Y)
-    values, errors = _integrate_states(integrand_J, T, H, Y, p, quad)
+    values, errors = _integrate_states(_J, T, H, Y, p, quad)
     return values - 1.0 / p.U1, errors
 
 
@@ -256,13 +242,13 @@ def _r_r_cosh(z, z1: float):
 def _dJ_all(T, H, Y, xi, p: MaterialParams):
     """Pointwise (dJ/dT, dJ/dh, dJ/dY), h = mu_B H, on one trailing axis.
 
-    With z = E/T, z1 = h/T and r(u) = 1/(1 + cosh u) = 2 fermi_delta(u),
+    With z = E/T, z1 = h/T and r(u) = 1/(1 + cosh u) = 2 _fermi_delta(u),
     which stays bounded for any argument:
 
     * dJ/dh = (r(z+z1) - r(z-z1)) / (2 T E) = -sinh z sinh z1 r(z+z1) r(z-z1) / (T E),
       taken as -expm1(-2z) expm1(-2 z1) r(z-z1) / (2 T^2 z (1 + e^(-z-z1))^2):
       nothing cancels or overflows, and with z raised to the smallest
-      normal double, as in ``integrand_J``, E = 0 gives the limit
+      normal double, as in ``_J``, E = 0 gives the limit
       -tanh(z1/2) r(z1) / T^2.  At H = 0 it is exactly 0.
     * dJ/dT = -(r(z+z1) + r(z-z1)) / (2 T^2) - z1 dJ/dh.  J is
       homogeneous of degree -1 in (T, E, h), so T J_T + h J_h = -d(E J)/dE,
@@ -274,11 +260,11 @@ def _dJ_all(T, H, Y, xi, p: MaterialParams):
       used, whose coefficients come from the Taylor expansion of
       cosh(z1)(sinh z - z cosh z) + sinh z cosh z - z over z^3.
     """
-    E = _energy(np.asarray(xi, dtype=float) + _shift(H, p), Y)
+    E = _energy(xi + _shift(H, p), Y)
     z = E / T
     z1 = p.mu_B * H / T
-    rp = 2.0 * fermi_delta(z + z1)
-    rm = 2.0 * fermi_delta(z - z1)
+    rp = 2.0 * _fermi_delta(z + z1)
+    rm = 2.0 * _fermi_delta(z - z1)
 
     big = z >= _Z_SERIES
     E_safe = np.where(big, E, 1.0)
@@ -311,7 +297,7 @@ def F_partials_many(
     integrals, errors = _integrate_states(_dJ_all, T, H, Y, p, quad)
     F_T, G_h, F_Y = integrals.reshape(-1, 3).T
     w = p.hbar_omega_D
-    J_minus, J_plus = integrand_J(T, H, Y, np.array([[-w], [w]]), p)
+    J_minus, J_plus = _J(T, H, Y, np.array([[-w], [w]]), p)
     F_H = (p.a + 2.0 * p.b * H) * (J_plus - J_minus) + p.mu_B * G_h
     values = np.column_stack([F_T, F_H, F_Y])
     for i in np.flatnonzero(~np.isfinite(_shift(H, p))):

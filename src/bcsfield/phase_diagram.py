@@ -56,7 +56,12 @@ class SweepSpec:
 
     ``H_grid = "auto"`` spans 0 to H_c(T) separately for every temperature
     column, in as many points as the T grid has.  Grids are (min, max, n)
-    with n >= 2 and min < max.
+    with finite min < max and an integer n >= 2 (a Python or numpy
+    integer, not a bool).
+
+    Raises:
+        ValueError: for a malformed grid (naming it), an ``H_grid`` string
+            other than ``"auto"``, or unknown or empty outputs.
     """
 
     T_grid: tuple[float, float, int]
@@ -83,6 +88,8 @@ def _check_grid(name: str, grid) -> None:
     lo, hi, n = grid
     check_arg(f"{name} min", lo)
     check_arg(f"{name} max", hi)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name}: n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"{name}: need n >= 2, got {n!r}")
     if not lo < hi:

@@ -17,10 +17,11 @@ of states, and with it the phase transition first order.
 omega_S - omega_N and omega_N of all of them in one breadth-first
 quadrature of two components on shared panels; psi is integrated node by
 node as the difference of the two brackets, in a form without
-cancellation, and omega_S is omega_N + psi.  ``psi``,
-``grand_potential_S`` and ``grand_potential_N`` are batch-of-one cases of
-the same code.  ``entropy_gap_many`` and ``entropy_gap_fd_many``
-evaluate the entropy gap of a batch of temperatures the same way, and
+cancellation, and omega_S is omega_N + psi.  ``psi`` and
+``grand_potential_S`` are its batch-of-one cases, and
+``grand_potential_N`` is the same quadrature at a zero gap.
+``entropy_gap_many`` and ``entropy_gap_fd_many`` evaluate the entropy gap
+of a batch of temperatures the same way, and
 ``entropy_gap`` and ``entropy_gap_fd`` are their batch-of-one cases.  The
 closed form's two edge slivers, of width 2h centred at -+w - s, are one
 integral per temperature in the offset t from their centres,
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import _TINY, _energy, fermi, log1p_exp_neg, zeeman_edges
+from .kernel import _TINY, _energy, _log1p_exp_neg, fermi, zeeman_edges
 # ``integrate`` stays importable here: bench/spans.py patches thermo.integrate
 # by name.
 from .numerics import (  # noqa: F401
@@ -98,10 +99,16 @@ class DosModel:
     D0: overall scale (value at eps = mu for the analytic kinds), finite
         and > 0.
     slope_param: relative slope per Debye energy (linear kind only), finite.
-    table: (eps, D) arrays, strictly increasing eps (tabulated kind only,
-        and required by it); build it with :func:`dos_tabulated`.
+    table: (eps, D) columns of one length, at least 2 rows, every entry
+        finite, eps strictly increasing and D nonnegative (tabulated kind
+        only, and required by it); :func:`dos_tabulated` builds it with D0
+        the largest D.
 
     A strictly increasing DOS is what produces a negative entropy gap.
+
+    Raises:
+        ValueError: for an unknown kind, a non-finite or non-positive D0,
+            a non-finite slope_param, or a missing or malformed table.
     """
 
     kind: str
@@ -112,11 +119,21 @@ class DosModel:
     def __post_init__(self) -> None:
         if self.kind not in DOS_KINDS:
             raise ValueError(f"unknown DOS kind {self.kind!r}; expected one of {DOS_KINDS}")
+        if self.kind == "tabulated":
+            if self.table is None:
+                raise ValueError("a tabulated DOS needs a table (use dos_tabulated)")
+            eps, dens = (np.asarray(column, dtype=float) for column in self.table)
+            if eps.ndim != 1 or eps.shape != dens.shape or eps.size < 2:
+                raise ValueError("tabulated DOS needs two equal-length 1-d columns (>= 2 rows)")
+            if not (np.isfinite(eps).all() and np.isfinite(dens).all()):
+                raise ValueError("tabulated DOS entries must be finite")
+            if not np.all(np.diff(eps) > 0):
+                raise ValueError("tabulated DOS abscissas must be strictly increasing")
+            if np.any(dens < 0):
+                raise ValueError("tabulated DOS must be nonnegative")
         check_arg("D0", self.D0, positive=True)
         if not math.isfinite(self.slope_param):
             raise ValueError(f"slope_param must be finite, got {self.slope_param!r}")
-        if self.kind == "tabulated" and self.table is None:
-            raise ValueError("a tabulated DOS needs a table (use dos_tabulated)")
 
 
 def dos_constant(D0: float = 1.0) -> DosModel:
@@ -135,16 +152,11 @@ def dos_sqrt(D0: float = 1.0) -> DosModel:
 
 
 def dos_tabulated(eps: np.ndarray, dens: np.ndarray) -> DosModel:
-    """Tabulated DOS with linear interpolation; eps strictly increasing."""
+    """Tabulated DOS with linear interpolation, checked as :class:`DosModel` says."""
     eps = np.asarray(eps, dtype=float)
     dens = np.asarray(dens, dtype=float)
-    if eps.ndim != 1 or eps.shape != dens.shape or eps.size < 2:
-        raise ValueError("tabulated DOS needs two equal-length 1-d columns (>= 2 rows)")
-    if not np.all(np.diff(eps) > 0):
-        raise ValueError("tabulated DOS abscissas must be strictly increasing")
-    if np.any(dens < 0):
-        raise ValueError("tabulated DOS must be nonnegative")
-    return DosModel(kind="tabulated", D0=float(dens.max()), table=(eps, dens))
+    # initial=0 lets an empty column reach DosModel's own table check.
+    return DosModel(kind="tabulated", D0=float(dens.max(initial=0.0)), table=(eps, dens))
 
 
 def load_dos_table(path: str | Path) -> DosModel:
@@ -234,7 +246,7 @@ def _brackets(eta, Y, inv_T, two_T, spin_h, down):
     if low.any():
         a, d, E, t, x, Y, two_T = (np.broadcast_to(v, gap.shape)[low]
                                    for v in (a, d, E, t, u - z, Y, two_T))
-        gap[low] = -a * d / E + (Y / E) * fermi(-x) - two_T * (log1p_exp_neg(-x) - np.log1p(t))
+        gap[low] = -a * d / E + (Y / E) * fermi(-x) - two_T * (_log1p_exp_neg(-x) - np.log1p(t))
     return gap, normal
 
 
@@ -290,21 +302,22 @@ def grand_potential_S(
     H: float,
     p: MaterialParams,
     dos: DosModel,
-    gap: GapSolution,
+    dbox: DomainBox,
+    spec: RootSpec | None = None,
     quad: QuadSpec | None = None,
 ) -> float:
-    """Superconducting grand potential at a solved gap: omega_N + psi.
+    """Superconducting grand potential at (T, H): omega_N + psi at the solved gap.
 
-    Both terms come from one quadrature.  With a zero gap psi is +0.0, so
-    the result equals :func:`grand_potential_N` exactly there.
+    The gap is solved here, so it is always the one of (T, H); this is
+    ``psi(...).omega_S``, the batch-of-one case of :func:`psi_many`.
+    Beyond H_c the gap is zero, psi is +0.0, and the result equals
+    :func:`grand_potential_N` exactly.
 
     Raises:
         ValueError: naming T or H, for a non-finite or non-positive
             temperature or a non-finite or negative field.
     """
-    check_arg("T", T, positive=True)
-    check_arg("H", H)
-    return float(first(*_omega_many(T, H, gap.Y, p, dos, quad))[0].sum())
+    return psi(T, H, p, dos, dbox, spec, quad).omega_S
 
 
 def grand_potential_N(

@@ -15,13 +15,16 @@ from bcsfield import (
     QuadSpec,
     StatePoint,
     fermi,
-    integrand_J,
-    quasiparticle_energy,
     thermal_weight,
 )
-from bcsfield.kernel import F_eval_many, F_partials_many, _dJ_all, _Z_SERIES
+from bcsfield.kernel import F_eval_many, F_partials_many, _dJ_all, _energy, _J, _shift, _Z_SERIES
 from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_tau1
 from conftest import central_diff
+
+
+def quasiparticle_energy(xi, H, Y, p):
+    """E = hypot(xi + a H + b H^2, sqrt(Y)), as the kernel's integrands take it."""
+    return _energy(xi + _shift(H, p), Y)
 
 
 def _dJ_column(k):
@@ -178,6 +181,12 @@ def test_weight_rejects_bad_arguments_by_name(T, H, name):
         thermal_weight(T, 1.0, H, MaterialParams())
 
 
+@pytest.mark.parametrize("E", [math.nan, math.inf, -1.0, np.array([0.5, -1.0])])
+def test_weight_rejects_a_bad_energy_by_name(E):
+    with pytest.raises(ValueError, match="^E must be"):
+        thermal_weight(0.03, E, 0.0, MaterialParams())
+
+
 # ---------------------------------------------------------------- integrand
 
 
@@ -185,12 +194,12 @@ def test_integrand_limit_at_zero_energy():
     p = MaterialParams()
     T, H = 0.03, 0.02
     shift = p.a * H + p.b * H * H
-    limit = integrand_J(T, H, 0.0, -shift, p)
+    limit = _J(T, H, 0.0, -shift, p)
     expected = 1.0 / (T * (1.0 + math.cosh(p.mu_B * H / T)))
     assert limit == pytest.approx(expected, rel=1e-13)
     # values at E = 1e-6 and 1e-7 converge quadratically onto the limit
-    j6 = integrand_J(T, H, 1e-12, -shift, p)  # E = 1e-6
-    j7 = integrand_J(T, H, 1e-14, -shift, p)  # E = 1e-7
+    j6 = _J(T, H, 1e-12, -shift, p)  # E = 1e-6
+    j7 = _J(T, H, 1e-14, -shift, p)  # E = 1e-7
     assert abs(j7 - limit) < abs(j6 - limit)
     assert j6 == pytest.approx(limit, rel=1e-8)
 
@@ -199,7 +208,7 @@ def test_integrand_reduces_to_tanh_over_xi():
     p = MaterialParams()
     T, xi = 0.05, 0.3
     expected = math.tanh(abs(xi) / (2.0 * T)) / abs(xi)
-    assert integrand_J(T, 0.0, 0.0, xi, p) == pytest.approx(expected, rel=1e-13)
+    assert _J(T, 0.0, 0.0, xi, p) == pytest.approx(expected, rel=1e-13)
 
 
 def test_integrand_nonnegative(rng):
@@ -209,7 +218,7 @@ def test_integrand_nonnegative(rng):
         H = rng.uniform(0.0, 1.0)
         Y = rng.uniform(0.0, 0.5)
         xi = rng.uniform(-1.0, 1.0)
-        assert integrand_J(T, H, Y, xi, p) >= 0.0
+        assert _J(T, H, Y, xi, p) >= 0.0
 
 
 # ------------------------------------------------------------------- F
@@ -441,14 +450,14 @@ def test_pointwise_derivatives_match_fd(p, which):
     for T, H, Y, xi in pointwise_cases(p):
         args = {"T": T, "H": p.mu_B * H, "Y": Y}
         step = {"T": 1e-6 * T, "H": 1e-8, "Y": max(1e-4 * T * T, 1e-6 * Y)}[which]
-        j_val = integrand_J(T, H, Y, xi, p)
+        j_val = _J(T, H, Y, xi, p)
         e_val = max(quasiparticle_energy(xi, H, Y, p), T)
         floor = 1e-9 * j_val / {"T": T, "H": T / 2.0, "Y": e_val * e_val}[which]
 
         def J_of(v):
             a = dict(args)
             a[which] = v
-            return integrand_J(a["T"], H, a["Y"], xi, dataclasses.replace(p, mu_B=a["H"] / H))
+            return _J(a["T"], H, a["Y"], xi, dataclasses.replace(p, mu_B=a["H"] / H))
 
         analytic = deriv(T, H, Y, xi, p)
         if which == "Y" and Y == 0.0:
@@ -523,14 +532,14 @@ def test_sampled_lipschitz_bound(p, dbox, rng):
 def test_scalar_and_array_paths_agree(p):
     xi = np.array([-0.7, -0.0173, 0.0, 0.31, 0.9999])
     T, H, Y = 0.004, 0.03, 1.3e-4
-    vec_j = integrand_J(T, H, Y, xi, p)
+    vec_j = _J(T, H, Y, xi, p)
     vec_e = quasiparticle_energy(xi, H, Y, p)
     vec_w = thermal_weight(T, vec_e, H, p)
     for k, x in enumerate(xi):
-        assert integrand_J(T, H, Y, float(x), p) == vec_j[k]
+        assert _J(T, H, Y, float(x), p) == vec_j[k]
         assert quasiparticle_energy(float(x), H, Y, p) == vec_e[k]
         assert thermal_weight(T, float(vec_e[k]), H, p) == vec_w[k]
-    assert isinstance(integrand_J(T, H, Y, 0.5, p), float)
+    assert isinstance(_J(T, H, Y, 0.5, p), float)
 
 
 def test_state_point_validation():

@@ -47,6 +47,10 @@ def test_spec_validation():
         SweepSpec(T_grid=(0.1, 0.2, 3), H_grid="all")
     with pytest.raises(ValueError, match="empty"):
         SweepSpec(T_grid=(0.1, 0.2, 3), outputs=frozenset())
+    for n in (3.0, True):
+        with pytest.raises(ValueError, match="^T_grid: n must be an integer"):
+            SweepSpec(T_grid=(0.1, 0.2, n))
+    assert SweepSpec(T_grid=(0.1, 0.2, np.int64(3))).T_grid[2] == 3
 
 
 def test_grid_beyond_transition_rejected(p, dbox):

@@ -25,7 +25,7 @@ from bcsfield import (
     solve_tau1,
 )
 from bcsfield import kernel, numerics, solvers
-from bcsfield.kernel import F_eval_many, fermi_delta
+from bcsfield.kernel import F_eval_many, _fermi_delta
 from bcsfield.numerics import BracketError, NumericsError, RootSpec, first, integrate, unwrap
 from bcsfield.solvers import TAU1_WEAK_COUPLING, solve_gap_squared_many, solve_hc_many
 from bcsfield.thermo import psi_many
@@ -517,9 +517,9 @@ def test_slope_integrals_share_their_panels(p, tau1, integrand_calls):
         small = np.abs(u) < 1e-4
         u = np.where(small, 1.0, u)
         return np.where(small, (xi / tau1) ** 2 / 12.0,
-                        np.tanh(0.5 * u) / u - 2.0 * fermi_delta(u))
+                        np.tanh(0.5 * u) / u - 2.0 * _fermi_delta(u))
 
-    num = integrate(lambda xi: 2.0 * fermi_delta(xi / tau1), -w, w)
+    num = integrate(lambda xi: 2.0 * _fermi_delta(xi / tau1), -w, w)
     den = integrate(den_integrand, -w, w)
     assert slope == pytest.approx(-num / (p.a * tau1 * den), rel=3e-10)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsfield import (
-    GapSolution,
     dos_constant,
     dos_eval,
     dos_linear,
@@ -89,10 +88,6 @@ def omega_two_integrals(T, H, Y, p, dos, quad=None):
     return 0.5 * ((values[0] + values[1]) + (values[2] + values[3]))
 
 
-def zero_gap(T, H):
-    return GapSolution(T=T, H=H, Y=0.0, delta=0.0, residual=0.0, iterations=0, boundary=True)
-
-
 # ------------------------------------------------------------------- DOS
 
 
@@ -150,17 +145,45 @@ def test_dos_kind_validation():
     # Without a table dos_eval would fail on unpacking None.
     with pytest.raises(ValueError, match="table"):
         DosModel(kind="tabulated")
+    # A table built directly gets the checks dos_tabulated's does.
+    eps = np.array([8.0, 9.5, 10.5, 12.0])
+    dens = np.ones(4)
+    for table, match in [
+        ((eps[[0, 2, 1, 3]], dens), "strictly increasing"),
+        ((eps, np.array([1.0, -0.5, 1.0, 1.0])), "nonnegative"),
+        ((eps, np.array([1.0, np.inf, 1.0, 1.0])), "finite"),
+        ((eps[:3], dens), "equal-length"),
+        ((eps[:1], dens[:1]), ">= 2 rows"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            DosModel(kind="tabulated", table=table)
+    # Through dos_tabulated, an empty or mismatched column is the table's
+    # error, not numpy's.
+    for columns in [([], []), ([0.0, 1.0], [])]:
+        with pytest.raises(ValueError, match="equal-length"):
+            dos_tabulated(*columns)
 
 
 # --------------------------------------------------------- grand potential
 
 
 def test_normal_equals_superconducting_with_zero_gap(p, dbox):
-    T, H = 0.9 * dbox.tau1, 0.01
+    # Beyond H_c the gap grand_potential_S solves is zero.
+    T = 0.9 * dbox.tau1
+    H = 1.01 * solve_hc(T, p, dbox)
     dos = dos_linear(1.0, 0.5)
-    a = grand_potential_S(T, H, p, dos, zero_gap(T, H))
+    a = grand_potential_S(T, H, p, dos, dbox)
     b = grand_potential_N(T, H, p, dos)
     assert a == b  # identical code path, bit for bit
+
+
+def test_superconducting_potential_solves_its_own_gap(p, dbox):
+    T = 0.9 * dbox.tau1
+    H = 0.9 * solve_hc(T, p, dbox)
+    dos = dos_linear(1.0, 0.5)
+    tp = psi(T, H, p, dos, dbox)
+    assert tp.psi < 0
+    assert grand_potential_S(T, H, p, dos, dbox) == tp.omega_S
 
 
 @pytest.mark.parametrize("T, H, name", [
@@ -169,12 +192,12 @@ def test_normal_equals_superconducting_with_zero_gap(p, dbox):
     (0.03, -1.0, "H"),  # used to return a value
     (0.03, math.inf, "H"),
 ])
-def test_grand_potentials_reject_bad_arguments_by_name(p, T, H, name):
+def test_grand_potentials_reject_bad_arguments_by_name(p, dbox, T, H, name):
     dos = dos_linear(1.0, 0.5)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         grand_potential_N(T, H, p, dos)
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        grand_potential_S(T, H, p, dos, zero_gap(T, H))
+        grand_potential_S(T, H, p, dos, dbox)
 
 
 def test_omega_batch_keeps_state_order_and_error_keys(p, dbox, monkeypatch):
@@ -255,7 +278,8 @@ def test_bracket_half_sum_matches_symmetric_form(p):
     #   eta - eta^2/E - (Y/2E)(1 + f(beta(E+h)) + f(beta(E-h)))
     #     - T ln(1+e^-beta(E+h)) - T ln(1+e^-beta(E-h)),
     # the symmetric single-expression form of the same potential.
-    from bcsfield import fermi, log1p_exp_neg
+    from bcsfield import fermi
+    from bcsfield.kernel import _log1p_exp_neg
 
     T, Y, s, h = 0.031, 1.7e-3, 0.017, 0.034
     beta = 1.0 / T
@@ -267,8 +291,8 @@ def test_bracket_half_sum_matches_symmetric_form(p):
         eta
         - eta * eta / E
         - (Y / (2 * E)) * (1.0 + fermi(beta * (E + h)) + fermi(beta * (E - h)))
-        - T * log1p_exp_neg(beta * (E + h))
-        - T * log1p_exp_neg(beta * (E - h))
+        - T * _log1p_exp_neg(beta * (E + h))
+        - T * _log1p_exp_neg(beta * (E - h))
     )
     assert np.allclose(avg, symmetric, rtol=1e-13, atol=1e-15)
     reference = 0.5 * (_bracket(xi, T, Y, s, h, 1.0) + _bracket(xi, T, Y, s, h, -1.0))
